@@ -12,7 +12,6 @@ system register.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -20,6 +19,7 @@ import numpy as np
 from . import linalg, qrt
 from .channels import (
     ChannelSpec,
+    GeneralLinearMap,
     KrausChannel,
     apply,
     dephasing_channel,
@@ -31,6 +31,8 @@ from .states import RNG_ALGORITHMS, DensityOperator, bell_phi_plus, maximally_mi
 LABEL_DECIMALS = 9
 TOL_FIXED_POINT = 1e-9
 TOL_CLAIM_MATCH = 1e-8
+# Widest receiver state run_protocol builds; wider scenarios exit 2 up front.
+MAX_RECEIVER_DIM = 1024
 
 
 class ScenarioError(ValueError):
@@ -326,16 +328,35 @@ def build_conditional_channel(
     )
 
 
-def _lifted_kraus_apply(
-    mat: np.ndarray, branch: KrausChannel, position: int, n_regs: int, reg_dim: int
+def _pair_transfer(
+    branches: Sequence[KrausChannel], noise: KrausChannel | None = None
 ) -> np.ndarray:
-    left = np.eye(reg_dim**position, dtype=complex)
-    right = np.eye(reg_dim ** (n_regs - 1 - position), dtype=complex)
-    out = np.zeros_like(mat)
-    for k in branch.kraus:
-        lifted = np.kron(np.kron(left, k), right)
-        out += lifted @ mat @ lifted.conj().T
-    return out
+    """Transfer matrix of one message+system pair.
+
+    The message register is read in its label basis (cross-label coherences
+    are discarded) and outcome i applies branch i after the link noise:
+    T[(a,b),((i,s),(i',s'))] = delta_ii' (T_Bi T_N)[(a,b),(s,s')].
+    """
+    m = len(branches)
+    d_in, d_out = branches[0].in_dim, branches[0].out_dim
+    noise_t = GeneralLinearMap.from_kraus(noise).transfer if noise is not None else None
+    t = np.zeros((d_out, d_out, m, d_in, m, d_in), dtype=complex)
+    for i, branch in enumerate(branches):
+        t_i = GeneralLinearMap.from_kraus(branch).transfer
+        if noise_t is not None:
+            t_i = t_i @ noise_t
+        t[:, :, i, :, i, :] = t_i.reshape(d_out, d_out, d_in, d_in)
+    return t.reshape(d_out * d_out, (m * d_in) ** 2)
+
+
+def _censor_pairs(
+    mat: np.ndarray, dims: DimSignature, transfer: np.ndarray, n_pairs: int, sys: DimSignature
+) -> np.ndarray:
+    # Pair k starts at factor k*len(sys) once pairs 0..k-1 are censored.
+    for k in range(n_pairs):
+        start = k * len(sys)
+        mat, dims = linalg.apply_transfer(mat, dims, transfer, start, start + 1 + len(sys), sys)
+    return mat
 
 
 def _validate_joint_layout(
@@ -370,32 +391,10 @@ def apply_censorship(
     only and has unit trace.
     """
     label_basis = tuple(labels) if labels is not None else ch.labels
-    message_dim = len(label_basis) + 1
-    n = _validate_joint_layout(joint, message_dim, ch.system_dims)
-    group = 1 + len(ch.system_dims)
-    n_factors = len(joint.dims)
-    reg_dim = int(np.prod(ch.system_dims))
-    total = reg_dim**n
-    tensor = joint.mat.reshape(joint.dims + joint.dims)
-    message_axes = [k * group for k in range(n)]
-
-    def branch_for(index: int) -> KrausChannel:
-        if 0 <= index < len(label_basis):
-            return ch.branch_for_label(label_basis[index])
-        return ch.default_branch
-
-    out = np.zeros((total, total), dtype=complex)
-    for combo in product(range(message_dim), repeat=n):
-        indexer: list = [slice(None)] * (2 * n_factors)
-        for k, i in enumerate(combo):
-            indexer[message_axes[k]] = i
-            indexer[n_factors + message_axes[k]] = i
-        block = tensor[tuple(indexer)].reshape(total, total)
-        for k, i in enumerate(combo):
-            block = _lifted_kraus_apply(block, branch_for(i), k, n, reg_dim)
-        out += block
-    out = (out + out.conj().T) / 2
-    return DensityOperator(out, ch.system_dims * n)
+    n = _validate_joint_layout(joint, len(label_basis) + 1, ch.system_dims)
+    branches = [ch.branch_for_label(label) for label in label_basis] + [ch.default_branch]
+    out = _censor_pairs(joint.mat, joint.dims, _pair_transfer(branches), n, ch.system_dims)
+    return DensityOperator((out + out.conj().T) / 2, ch.system_dims * n)
 
 
 @dataclass
@@ -487,64 +486,48 @@ def _strategy_descriptions(scenario: NetworkScenario) -> list[list[Description]]
     return per_strategy
 
 
-def _assemble_joint(
-    scenario: NetworkScenario,
-    per_strategy: list[list[Description]],
-    channel: ConditionalRDChannel,
-) -> tuple[DensityOperator, int]:
+def _sender_block(
+    pos: int, st: SenderStrategy, descs: list[Description], channel: ConditionalRDChannel
+) -> tuple[np.ndarray, DimSignature, int]:
+    """One strategy's own input block, its signature and its number of pairs.
+
+    An honest or untruthful sender contributes |i><i| (x) rho on one pair; a
+    correlated strategy contributes its joint operator over its own spans.
+    """
     mdim = channel.message_dim
     sys = channel.system_dims
-    parts: list[np.ndarray] = []
-    dims: tuple[int, ...] = ()
-    n_senders = 0
-    for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
-        if st.kind in ("honest", "untruthful"):
-            sent = st.state if st.state is not None else descs[0].state
-            if sent.dims != sys:
-                raise ScenarioError(
-                    f"sender {pos}: system dims {sent.dims} do not match register {sys}"
-                )
-            proj = np.zeros((mdim, mdim), dtype=complex)
-            idx = channel.labels.index(descs[0].label)
-            proj[idx, idx] = 1.0
-            parts.append(np.kron(proj, sent.mat))
-            dims = dims + (mdim,) + sys
-            n_senders += 1
-        else:
-            if st.state is None:
-                raise ScenarioError(f"correlated strategy {pos} must carry its joint operator")
-            expected = ((mdim,) + sys) * st.spans
-            if st.state.dims != expected:
-                raise ScenarioError(
-                    f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
-                    "(message registers have one index per registered label plus one)"
-                )
-            parts.append(st.state.mat)
-            dims = dims + expected
-            n_senders += st.spans
-    joint = DensityOperator(linalg.kron_all(parts), dims)
-    return joint, n_senders
+    if st.kind in ("honest", "untruthful"):
+        sent = st.state if st.state is not None else descs[0].state
+        if sent.dims != sys:
+            raise ScenarioError(
+                f"sender {pos}: system dims {sent.dims} do not match register {sys}"
+            )
+        proj = np.zeros((mdim, mdim), dtype=complex)
+        idx = channel.labels.index(descs[0].label)
+        proj[idx, idx] = 1.0
+        return np.kron(proj, sent.mat), (mdim,) + sys, 1
+    if st.state is None:
+        raise ScenarioError(f"correlated strategy {pos} must carry its joint operator")
+    expected = ((mdim,) + sys) * st.spans
+    if st.state.dims != expected:
+        raise ScenarioError(
+            f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
+            "(message registers have one index per registered label plus one)"
+        )
+    return st.state.mat, expected, st.spans
 
 
-def _apply_link_noise(
-    joint: DensityOperator, noise: KrausChannel, n_senders: int, message_dim: int, sys: DimSignature
-) -> DensityOperator:
+def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
+    try:
+        noise = spec.build(sys)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"noise {spec.kind!r} cannot act on registers {sys}: {exc}") from exc
     reg_dim = int(np.prod(sys))
     if noise.in_dim != reg_dim or noise.out_dim != reg_dim:
         raise ScenarioError(
             f"noise channel acts on dimension {noise.in_dim}, registers have {reg_dim}"
         )
-    mat = joint.mat
-    block = message_dim * reg_dim
-    for k in range(n_senders):
-        left = np.eye(block**k, dtype=complex)
-        right = np.eye(block ** (n_senders - 1 - k), dtype=complex)
-        out = np.zeros_like(mat)
-        for op in noise.kraus:
-            lifted = np.kron(np.kron(left, np.kron(np.eye(message_dim, dtype=complex), op)), right)
-            out += lifted @ mat @ lifted.conj().T
-        mat = out
-    return DensityOperator((mat + mat.conj().T) / 2, joint.dims)
+    return noise
 
 
 def _isotropic_weight(marginal: DensityOperator) -> float:
@@ -611,7 +594,13 @@ def _receiver_verdicts(
 
 
 def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
-    """Assemble the joint sender state, censor it, and judge the output."""
+    """Censor each strategy's own block and judge the receiver state.
+
+    The conditional channel and the link noise are products of one map per
+    message+system pair, so each strategy's block is censored on its own and
+    the receiver is the Kronecker product of the small outputs; the joint
+    sender state is never built.
+    """
     qrt.get_theory(scenario.theory)
     if scenario.rng_algorithm.lower() not in RNG_ALGORITHMS:
         raise ScenarioError(
@@ -623,32 +612,43 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
         channel = build_conditional_channel(scenario.theory, scenario.channel_kind, all_descs)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    joint, n_senders = _assemble_joint(scenario, per_strategy, channel)
+    sys = channel.system_dims
+    n_senders = sum(st.spans if st.kind == "correlated" else 1 for st in scenario.strategies)
+    reg_dim = int(np.prod(sys))
+    if reg_dim**n_senders > MAX_RECEIVER_DIM:
+        raise ScenarioError(
+            f"the receiver state would be {reg_dim**n_senders} wide ({n_senders} registers "
+            f"of dimension {reg_dim}); the limit is {MAX_RECEIVER_DIM}"
+        )
+    noise_ch = _build_link_noise(scenario.noise, sys) if scenario.noise is not None else None
+    transfer = _pair_transfer(
+        [channel.branch_for_index(i) for i in range(channel.message_dim)], noise_ch
+    )
+    outputs = []
+    for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
+        block, dims, spans = _sender_block(pos, st, descs, channel)
+        outputs.append(_censor_pairs(block, dims, transfer, spans, sys))
+    mat = linalg.kron_all(outputs)
+    receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
 
     distances: list[dict] | None = None
-    if scenario.noise is not None:
-        noise_ch = scenario.noise.build(channel.system_dims)
-        pre_noise: list[tuple[int, Description, DensityOperator]] = []
+    if noise_ch is not None:
+        distances = []
         sender_pos = 0
         for st, descs in zip(scenario.strategies, per_strategy):
             if st.kind == "honest":
                 sent = st.state if st.state is not None else descs[0].state
-                pre_noise.append((sender_pos, descs[0], sent))
+                noisy = noise_ch.apply_matrix(sent.mat)
+                censored = channel.branch_for_label(descs[0].label).apply_matrix(noisy)
+                distances.append(
+                    {
+                        "sender": sender_pos,
+                        "d_noisy": linalg.hs_distance(sent.mat, noisy),
+                        "d_censored": linalg.hs_distance(sent.mat, censored),
+                    }
+                )
             sender_pos += st.spans if st.kind == "correlated" else 1
-        joint = _apply_link_noise(joint, noise_ch, n_senders, channel.message_dim, channel.system_dims)
-        distances = []
-        for pos, desc, sent in pre_noise:
-            noisy = noise_ch.apply_matrix(sent.mat)
-            censored = channel.branch_for_label(desc.label).apply_matrix(noisy)
-            distances.append(
-                {
-                    "sender": pos,
-                    "d_noisy": linalg.hs_distance(sent.mat, noisy),
-                    "d_censored": linalg.hs_distance(sent.mat, censored),
-                }
-            )
 
-    receiver = apply_censorship(channel, joint)
     verdicts, notes = _receiver_verdicts(scenario, receiver, n_senders, channel.system_dims)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive

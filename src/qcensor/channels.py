@@ -101,7 +101,8 @@ class GeneralLinearMap:
 
     @classmethod
     def from_kraus(cls, ch: KrausChannel) -> "GeneralLinearMap":
-        return cls.from_function(ch.apply_matrix, ch.in_dim, ch.out_dim)
+        # row-major vec(K X K^dag) = (K (x) conj(K)) vec(X)
+        return cls(sum(np.kron(k, k.conj()) for k in ch.kraus), ch.in_dim, ch.out_dim)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         arr = linalg.as_complex_matrix(mat)

@@ -24,6 +24,13 @@ from .qrt import ResourceVerdict
 from .states import DensityOperator
 
 
+def _number(value: Any, cast, what: str):
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{what} must be a number, got {value!r}") from exc
+
+
 def matrix_to_json(mat: np.ndarray) -> dict:
     arr = np.asarray(mat, dtype=complex)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -75,7 +82,7 @@ def ensemble_from_json(obj: Any) -> list:
         factors = tuple(
             _amplitudes_from_json(f, f"ensemble term {pos}") for f in term["factors"]
         )
-        terms.append((float(term["weight"]), factors))
+        terms.append((_number(term["weight"], float, f"ensemble term {pos} weight"), factors))
     return terms
 
 
@@ -110,7 +117,13 @@ def noise_from_json(obj: Any) -> ChannelSpec:
     kind = str(obj["kind"])
     if kind not in CHANNEL_KINDS:
         raise ScenarioError(f"unknown noise kind {kind!r}; known: {list(CHANNEL_KINDS)}")
-    params = dict(obj.get("params") or {})
+    params = obj.get("params") or {}
+    if not isinstance(params, dict):
+        raise ScenarioError("noise 'params' must be an object")
+    params = dict(params)
+    for key in ("strength", "gamma"):
+        if key in params:
+            _number(params[key], float, f"noise {key!r}")
     if kind == "replacement":
         if "state" not in params:
             raise ScenarioError("replacement noise needs params['state']")
@@ -149,7 +162,9 @@ def _strategy_from_json(obj: Any, pos: int) -> SenderStrategy:
             claimed = [claim_from_json(c) for c in raw]
         else:
             claimed = claim_from_json(raw)
-    spans = int(obj.get("spans", 1))
+    spans = _number(obj.get("spans", 1), int, f"sender {pos} 'spans'")
+    if spans < 1:
+        raise ScenarioError(f"sender {pos}: 'spans' must be at least 1, got {spans}")
     if kind == "honest" and state is None and ensemble is None:
         raise ScenarioError(f"sender {pos}: honest strategy needs a state or ensemble")
     if kind == "untruthful" and (state is None or claimed is None):
@@ -176,7 +191,7 @@ def scenario_from_json(obj: Any) -> NetworkScenario:
         channel_kind=str(obj["channel_kind"]),
         strategies=strategies,
         noise=noise,
-        seed=None if seed is None else int(seed),
+        seed=None if seed is None else _number(seed, int, "'seed'"),
         rng_algorithm=str(obj.get("rng", "pcg64")),
     )
 

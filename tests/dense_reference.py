@@ -1,0 +1,134 @@
+"""The dense censorship engine, kept as the reference for the factored one.
+
+It builds the whole Kronecker joint of the message+system registers, lifts
+every link-noise Kraus operator to that joint, and sums the censored blocks
+over every combination of message outcomes with Kronecker-lifted branch Kraus
+operators. Its cost grows like (m*d)^(3N) for N pairs, so use it only on
+joints a few hundred wide at most.
+"""
+
+from __future__ import annotations
+
+from itertools import product
+
+import numpy as np
+
+from qcensor import linalg
+from qcensor.censorship import (
+    ConditionalRDChannel,
+    NetworkScenario,
+    _strategy_descriptions,
+    _validate_joint_layout,
+    build_conditional_channel,
+)
+from qcensor.channels import KrausChannel
+from qcensor.states import DensityOperator
+
+
+def lifted_kraus_apply(
+    mat: np.ndarray, branch: KrausChannel, position: int, n_regs: int, reg_dim: int
+) -> np.ndarray:
+    left = np.eye(reg_dim**position, dtype=complex)
+    right = np.eye(reg_dim ** (n_regs - 1 - position), dtype=complex)
+    out = np.zeros_like(mat)
+    for k in branch.kraus:
+        lifted = np.kron(np.kron(left, k), right)
+        out += lifted @ mat @ lifted.conj().T
+    return out
+
+
+def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator, labels=None):
+    """Receiver matrix of ``apply_censorship`` by the message-combination loop."""
+    label_basis = tuple(labels) if labels is not None else ch.labels
+    message_dim = len(label_basis) + 1
+    n = _validate_joint_layout(joint, message_dim, ch.system_dims)
+    group = 1 + len(ch.system_dims)
+    n_factors = len(joint.dims)
+    reg_dim = int(np.prod(ch.system_dims))
+    total = reg_dim**n
+    tensor = joint.mat.reshape(joint.dims + joint.dims)
+    message_axes = [k * group for k in range(n)]
+
+    def branch_for(index: int) -> KrausChannel:
+        if 0 <= index < len(label_basis):
+            return ch.branch_for_label(label_basis[index])
+        return ch.default_branch
+
+    out = np.zeros((total, total), dtype=complex)
+    for combo in product(range(message_dim), repeat=n):
+        indexer: list = [slice(None)] * (2 * n_factors)
+        for k, i in enumerate(combo):
+            indexer[message_axes[k]] = i
+            indexer[n_factors + message_axes[k]] = i
+        block = tensor[tuple(indexer)].reshape(total, total)
+        for k, i in enumerate(combo):
+            block = lifted_kraus_apply(block, branch_for(i), k, n, reg_dim)
+        out += block
+    return (out + out.conj().T) / 2
+
+
+def assemble_joint(scenario: NetworkScenario, per_strategy, channel: ConditionalRDChannel):
+    mdim = channel.message_dim
+    sys = channel.system_dims
+    parts: list[np.ndarray] = []
+    dims: tuple[int, ...] = ()
+    n_senders = 0
+    for st, descs in zip(scenario.strategies, per_strategy):
+        if st.kind in ("honest", "untruthful"):
+            sent = st.state if st.state is not None else descs[0].state
+            proj = np.zeros((mdim, mdim), dtype=complex)
+            idx = channel.labels.index(descs[0].label)
+            proj[idx, idx] = 1.0
+            parts.append(np.kron(proj, sent.mat))
+            dims = dims + (mdim,) + sys
+            n_senders += 1
+        else:
+            parts.append(st.state.mat)
+            dims = dims + ((mdim,) + sys) * st.spans
+            n_senders += st.spans
+    return DensityOperator(linalg.kron_all(parts), dims), n_senders
+
+
+def apply_link_noise(
+    joint: DensityOperator, noise: KrausChannel, n_senders: int, message_dim: int
+) -> DensityOperator:
+    reg_dim = noise.in_dim
+    mat = joint.mat
+    block = message_dim * reg_dim
+    for k in range(n_senders):
+        left = np.eye(block**k, dtype=complex)
+        right = np.eye(block ** (n_senders - 1 - k), dtype=complex)
+        out = np.zeros_like(mat)
+        for op in noise.kraus:
+            lifted = np.kron(np.kron(left, np.kron(np.eye(message_dim, dtype=complex), op)), right)
+            out += lifted @ mat @ lifted.conj().T
+        mat = out
+    return DensityOperator((mat + mat.conj().T) / 2, joint.dims)
+
+
+def dense_run_protocol(scenario: NetworkScenario) -> tuple[np.ndarray, list[dict] | None]:
+    """Receiver matrix and link-noise distances of ``run_protocol``."""
+    per_strategy = _strategy_descriptions(scenario)
+    all_descs = [d for group in per_strategy for d in group]
+    channel = build_conditional_channel(scenario.theory, scenario.channel_kind, all_descs)
+    joint, n_senders = assemble_joint(scenario, per_strategy, channel)
+    distances = None
+    if scenario.noise is not None:
+        noise_ch = scenario.noise.build(channel.system_dims)
+        joint = apply_link_noise(joint, noise_ch, n_senders, channel.message_dim)
+        distances = []
+        sender_pos = 0
+        for st, descs in zip(scenario.strategies, per_strategy):
+            if st.kind == "honest":
+                sent = st.state if st.state is not None else descs[0].state
+                noisy = noise_ch.apply_matrix(sent.mat)
+                censored = channel.branch_for_label(descs[0].label).apply_matrix(noisy)
+                distances.append(
+                    {
+                        "sender": sender_pos,
+                        "d_noisy": linalg.hs_distance(sent.mat, noisy),
+                        "d_censored": linalg.hs_distance(sent.mat, censored),
+                    }
+                )
+            sender_pos += st.spans if st.kind == "correlated" else 1
+    return dense_apply_censorship(channel, joint), distances

@@ -1,11 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcensor
+from qcensor.censorship import MAX_RECEIVER_DIM
 from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
 from qcensor.serialize import state_to_json
-from qcensor.states import bell_phi_plus, from_pure, random_real_density
+from qcensor.states import bell_phi_plus, from_pure, isotropic, random_real_density
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -213,3 +220,97 @@ def test_runtime_error_exit_one(tmp_path):
     path = _write(tmp_path, scenario)
     code = main(["run", "--scenario", str(path)])
     assert code in (EXIT_ERROR, EXIT_USAGE)
+
+
+def _locality_senders(n):
+    sigma = state_to_json(isotropic(2, 0.3))
+    return {
+        "theory": "locality",
+        "channel_kind": "replacement",
+        "senders": [{"kind": "honest", "state": sigma} for _ in range(n)],
+        "noise": None,
+        "seed": 0,
+    }
+
+
+def test_receiver_over_budget_exits_two_fast(tmp_path, capsys):
+    # six two-qubit registers: a 4096-wide receiver and a 262144-wide joint
+    path = _write(tmp_path, _locality_senders(6))
+    start = time.perf_counter()
+    code = main(["run", "--scenario", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert elapsed < 0.5
+    assert "4096" in err and str(MAX_RECEIVER_DIM) in err
+    assert "Traceback" not in err
+
+
+def _with(scenario, **changes):
+    out = json.loads(json.dumps(scenario))
+    for path, value in changes.items():
+        target = out
+        keys = path.split("__")
+        for key in keys[:-1]:
+            target = target[int(key)] if isinstance(target, list) else target[key]
+        target[keys[-1]] = value
+    return out
+
+
+def _entanglement_honest():
+    ensemble = [{"weight": 1.0, "factors": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}]
+    return {
+        "theory": "entanglement",
+        "channel_kind": "replacement",
+        "senders": [{"kind": "honest", "ensemble": ensemble}],
+        "noise": None,
+        "seed": 0,
+    }
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _with(_honest_imaginarity_scenario(), seed="x"),
+        _with(_discord_breach_scenario(), senders__0__spans="two"),
+        _with(_discord_breach_scenario(), senders__0__spans=0),
+        _with(_entanglement_honest(), senders__0__ensemble__0__weight="w"),
+        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {"strength": "s"}}),
+        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {}}),
+        _with(_honest_imaginarity_scenario(), noise={"kind": "amplitude_damping", "params": []}),
+        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": "s"}),
+        _with(_locality_senders(1), noise={"kind": "amplitude_damping", "params": {"gamma": 0.5}}),
+    ],
+    ids=[
+        "seed-not-int",
+        "spans-not-int",
+        "spans-below-one",
+        "weight-not-number",
+        "strength-not-number",
+        "strength-missing",
+        "gamma-missing",
+        "params-not-object",
+        "damping-on-two-qubits",
+    ],
+)
+def test_malformed_scenario_exits_two_without_traceback(scenario, tmp_path, capsys):
+    path = _write(tmp_path, scenario)
+    code = main(["run", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("invalid scenario:")
+    assert "Traceback" not in err
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(qcensor.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qcensor", "demo", "bell_filter"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "breach: no" in proc.stdout
