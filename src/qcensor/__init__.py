@@ -5,7 +5,6 @@ from .censorship import (
     CensorshipReport,
     Claim,
     ConditionalRDChannel,
-    Description,
     NetworkScenario,
     NoiseComparison,
     ScenarioError,
@@ -15,7 +14,6 @@ from .censorship import (
     encode_description,
     noise_comparison,
     run_protocol,
-    smuggle_eigenstate_demo,
 )
 from .channels import (
     ChannelSpec,
@@ -36,7 +34,9 @@ from .channels import (
     replacement_channel,
     transpose_map,
 )
+from .demos import smuggle_eigenstate_demo
 from .qrt import (
+    Description,
     DiscordOptions,
     ResourceTheory,
     ResourceVerdict,

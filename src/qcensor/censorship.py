@@ -1,12 +1,10 @@
-"""Description encoding, conditional resource-destroying channels, and the
-N-party censorship protocol with honest and adversarial sender strategies.
+"""Conditional resource-destroying channels and the N-party censorship
+protocol with honest and adversarial sender strategies.
 
-A description is a canonical, quantized classical encoding of a free state.
-Its label is the projective-measurement outcome carried by a message
-register; states sharing an encoding equivalence class share a label. The
-conditional channel reads each message register destructively (cross-label
-coherences are discarded) and applies the per-label branch to the paired
-system register.
+Senders describe their free states with the encoder of the scenario's
+theory (``qrt.THEORIES``). The conditional channel reads each message
+register destructively (cross-label coherences are discarded) and applies
+the per-label branch to the paired system register.
 """
 
 from __future__ import annotations
@@ -21,16 +19,13 @@ from .channels import (
     ChannelSpec,
     GeneralLinearMap,
     KrausChannel,
-    apply,
     dephasing_channel,
     replacement_channel,
 )
 from .linalg import DimSignature
-from .states import RNG_ALGORITHMS, DensityOperator, bell_phi_plus, maximally_mixed
+from .qrt import Description
+from .states import RNG_ALGORITHMS, DensityOperator, make_rng, maximally_mixed
 
-LABEL_DECIMALS = 9
-TOL_FIXED_POINT = 1e-9
-TOL_CLAIM_MATCH = 1e-8
 # Widest receiver state run_protocol builds; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
 
@@ -39,182 +34,17 @@ class ScenarioError(ValueError):
     """Malformed scenario input (distinct from runtime failures)."""
 
 
-def _quantize(x: float) -> float:
-    q = round(float(x), LABEL_DECIMALS)
-    return 0.0 if q == 0 else q
-
-
-def _fmt(x: float) -> str:
-    return format(_quantize(x), f".{LABEL_DECIMALS}f")
-
-
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)},{_fmt(z.imag)}"
-
-
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    pivot = int(np.argmax(np.abs(vec)))
-    mag = abs(vec[pivot])
-    if mag == 0.0:
-        return vec
-    return vec * (vec[pivot].conjugate() / mag)
-
-
-@dataclass(frozen=True, eq=False)
-class Description:
-    """Classical message identifying a free state up to its encoding class."""
-
-    theory: str
-    payload: tuple
-    label: bytes
-    state: DensityOperator
-
-
-def _encode_coherence(sigma: DensityOperator, tol: float) -> Description:
-    verdict = qrt.is_free_coherence(sigma, tol)
-    if not verdict.is_free:
-        raise ValueError(
-            f"state is not incoherent (max off-diagonal {verdict.witness_value:.3e})"
-        )
-    probs = np.clip(np.diag(sigma.mat).real, 0.0, None)
-    probs = probs / probs.sum()
-    payload = tuple(_quantize(p) for p in probs[:-1])
-    label = f"coherence|probs|{';'.join(_fmt(p) for p in probs[:-1])}".encode()
-    canonical = DensityOperator(np.diag(probs).astype(complex), sigma.dims)
-    return Description("coherence", payload, label, canonical)
-
-
-def _encode_imaginarity(sigma: DensityOperator, tol: float) -> Description:
-    verdict = qrt.is_free_imaginarity(sigma, tol)
-    if not verdict.is_free:
-        raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
-    real_mat = sigma.mat.real.astype(complex)
-    _, vecs = linalg.hermitian_eig(real_mat)
-    if float(np.abs(vecs.imag).max()) > 1e-8:
-        raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
-    basis = vecs.real
-    # Order columns by the vectors themselves, not by eigenvalue, so that
-    # commuting states (same eigenvectors, any spectra) share a label.
-    order = sorted(range(basis.shape[1]), key=lambda j: tuple(basis[:, j].round(12)))
-    basis = basis[:, order]
-    payload = tuple(tuple(_quantize(x) for x in basis[:, j]) for j in range(basis.shape[1]))
-    body = ";".join(",".join(_fmt(x) for x in basis[:, j]) for j in range(basis.shape[1]))
-    label = f"imaginarity|eigenbasis|{body}".encode()
-    canonical = DensityOperator(real_mat, sigma.dims)
-    return Description("imaginarity", payload, label, canonical)
-
-
-def _normalize_ensemble(
-    ensemble: Sequence, dims: DimSignature | None
-) -> list[tuple[float, tuple[np.ndarray, ...]]]:
-    terms: list[tuple[float, tuple[np.ndarray, ...]]] = []
-    total = 0.0
-    for entry in ensemble:
-        weight, factors = entry
-        w = float(weight)
-        if w < -1e-12:
-            raise ValueError(f"ensemble weight {w} is negative")
-        vecs = []
-        for f in factors:
-            vec = np.asarray(f, dtype=complex).reshape(-1)
-            norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-6:
-                raise ValueError("ensemble amplitudes are not normalized")
-            vecs.append(_canonical_phase(vec / norm))
-        terms.append((max(w, 0.0), tuple(vecs)))
-        total += max(w, 0.0)
-    if not terms:
-        raise ValueError("ensemble must contain at least one term")
-    if abs(total - 1.0) > 1e-8:
-        raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    if dims is not None:
-        for _, vecs in terms:
-            if tuple(v.size for v in vecs) != tuple(dims):
-                raise ValueError("ensemble factor dimensions do not match the register")
-    return [(w / total, vecs) for w, vecs in terms]
-
-
-def _encode_entanglement(
-    sigma: DensityOperator | None, ensemble: Sequence | None, tol: float
-) -> Description:
-    if ensemble is None:
-        raise ValueError(
-            "describing a separable state requires an explicit product ensemble; "
-            "extraction from a density matrix is not implemented"
-        )
-    dims = sigma.dims if sigma is not None else None
-    terms = _normalize_ensemble(ensemble, dims)
-    dims = tuple(v.size for v in terms[0][1])
-    mat = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
-    for w, vecs in terms:
-        prod_vec = vecs[0]
-        for v in vecs[1:]:
-            prod_vec = np.kron(prod_vec, v)
-        mat += w * np.outer(prod_vec, prod_vec.conj())
-    state = DensityOperator(mat, dims)
-    if sigma is not None and linalg.hs_distance(sigma.mat, mat) > TOL_CLAIM_MATCH:
-        raise ValueError("provided state does not match the separable ensemble")
-    sanity = qrt.ppt_all_cuts(state, tol)
-    if not sanity.is_free:
-        raise ValueError("ensemble reconstruction failed the PPT sanity check")
-    term_strs = sorted(
-        f"{_fmt(w)}:{'|'.join(','.join(_fmt_complex(z) for z in v) for v in vecs)}"
-        for w, vecs in terms
-    )
-    payload = tuple(
-        (
-            _quantize(w),
-            tuple(tuple((_quantize(z.real), _quantize(z.imag)) for z in v) for v in vecs),
-        )
-        for w, vecs in terms
-    )
-    label = f"entanglement|ensemble|{';'.join(term_strs)}".encode()
-    return Description("entanglement", payload, label, state)
-
-
-def _encode_full_matrix(theory: str, sigma: DensityOperator, tol: float) -> Description:
-    if theory == "discord":
-        verdict = qrt.is_classical_quantum(sigma, classical_side=0, tol=max(tol, qrt.TOL_CQ))
-        if not verdict.is_free:
-            raise ValueError(
-                f"state is not classical-quantum (commutator defect {verdict.witness_value:.3e})"
-            )
-    elif theory == "locality":
-        m = qrt.chsh_parameter(sigma)
-        if m > 1.0 + qrt.TOL_CHSH:
-            raise ValueError(f"state violates the CHSH bound (M = {m:.6f} > 1)")
-    body = ";".join(
-        ",".join(_fmt_complex(z) for z in sigma.mat[i]) for i in range(sigma.dim)
-    )
-    payload = tuple(
-        tuple((_quantize(z.real), _quantize(z.imag)) for z in sigma.mat[i])
-        for i in range(sigma.dim)
-    )
-    label = f"{theory}|matrix|{body}".encode()
-    return Description(theory, payload, label, sigma)
-
-
 def encode_description(
     theory: str,
     sigma: DensityOperator | None = None,
     ensemble: Sequence | None = None,
-    tol: float = qrt.TOL_DIAG,
 ) -> Description:
     """Canonical description of a free state; raises on resource states.
 
     Entanglement requires the separable ensemble (weights plus product
     amplitudes) explicitly; other theories take the state itself.
     """
-    qrt.get_theory(theory)
-    if theory == "entanglement":
-        return _encode_entanglement(sigma, ensemble, qrt.TOL_PPT)
-    if sigma is None:
-        raise ValueError(f"theory {theory!r} requires the state to describe")
-    if theory == "coherence":
-        return _encode_coherence(sigma, tol)
-    if theory == "imaginarity":
-        return _encode_imaginarity(sigma, tol)
-    return _encode_full_matrix(theory, sigma, tol)
+    return qrt.get_theory(theory).encode(sigma, ensemble)
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,12 +82,9 @@ class ConditionalRDChannel:
         return maximally_mixed(self.system_dims)
 
 
-_EIGEN_DEPHASING_THEORIES = ("coherence", "imaginarity")
-
-
-def _eigen_dephasing_branch(desc: Description, system_dims: DimSignature) -> KrausChannel:
-    _, basis = linalg.hermitian_eig(desc.state.mat)
-    return dephasing_channel(basis, dims=system_dims)
+def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
+    _, basis = linalg.hermitian_eig(state.mat)
+    return dephasing_channel(basis, dims=state.dims)
 
 
 def build_conditional_channel(
@@ -269,15 +96,15 @@ def build_conditional_channel(
     """Assemble the conditional channel from registered descriptions.
 
     kind="replacement" works for every theory; kind="eigen_dephasing" only
-    for theories whose free states have free eigenvectors (coherence,
-    imaginarity). A separable state can have entangled eigenvectors, so the
-    eigenbasis dephasing is rejected for entanglement (and likewise for
-    discord and locality).
+    for theories whose free states have free eigenvectors, the registry
+    entries with a free-state sampler (coherence, imaginarity). A separable
+    state can have entangled eigenvectors, so the eigenbasis dephasing is
+    rejected for entanglement (and likewise for discord and locality).
     """
-    qrt.get_theory(theory)
+    entry = qrt.get_theory(theory)
     if kind not in ("replacement", "eigen_dephasing"):
         raise ValueError(f"unknown channel kind {kind!r}")
-    if kind == "eigen_dephasing" and theory not in _EIGEN_DEPHASING_THEORIES:
+    if kind == "eigen_dephasing" and entry.sample_free is None:
         raise ValueError(
             f"eigen_dephasing is not resource destroying for {theory}: free states of "
             "this theory can have non-free eigenvectors (e.g. a separable state with "
@@ -300,7 +127,7 @@ def build_conditional_channel(
             prior = registered[d.label]
             if (
                 kind == "replacement"
-                and linalg.hs_distance(prior.state.mat, d.state.mat) > TOL_CLAIM_MATCH
+                and linalg.hs_distance(prior.state.mat, d.state.mat) > qrt.TOL_CLAIM_MATCH
             ):
                 raise ValueError(
                     "label collision: two distinct states map to the same description "
@@ -315,7 +142,7 @@ def build_conditional_channel(
         if kind == "replacement":
             branches[label] = replacement_channel(d.state, in_dims=sig)
         else:
-            branches[label] = _eigen_dephasing_branch(d, sig)
+            branches[label] = _eigen_dephasing_branch(d.state)
     default = replacement_channel(maximally_mixed(sig), in_dims=sig)
     return ConditionalRDChannel(
         theory=theory,
@@ -530,69 +357,6 @@ def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
     return noise
 
 
-def _isotropic_weight(marginal: DensityOperator) -> float:
-    # Twirl parameter estimated from the overlap with the maximally entangled state.
-    d = marginal.dims[0]
-    phi = bell_phi_plus(d)
-    overlap = float(np.trace(marginal.mat @ phi.mat).real)
-    return (d * d * overlap - 1.0) / (d * d - 1.0)
-
-
-def _receiver_verdicts(
-    scenario: NetworkScenario,
-    receiver: DensityOperator,
-    n_senders: int,
-    sys: DimSignature,
-) -> tuple[dict[str, qrt.ResourceVerdict], tuple[str, ...]]:
-    notes: list[str] = []
-    verdicts: dict[str, qrt.ResourceVerdict] = {}
-    name = scenario.theory
-    if name == "coherence":
-        verdicts[name] = qrt.is_free_coherence(receiver)
-    elif name == "imaginarity":
-        verdicts[name] = qrt.is_free_imaginarity(receiver)
-    elif name == "entanglement":
-        verdicts[name] = qrt.ppt_all_cuts(receiver)
-    elif name == "discord":
-        group = len(sys)
-        if len(receiver.dims) == 2:
-            cq = qrt.is_classical_quantum(receiver)
-            witness = qrt.discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
-            verdicts[name] = qrt.ResourceVerdict(cq.is_free, witness, cq.decisive)
-        else:
-            free = True
-            worst = 0.0
-            for k in range(n_senders):
-                marg = receiver.marginal(range(k * group, (k + 1) * group))
-                cq = qrt.is_classical_quantum(marg)
-                free = free and cq.is_free
-                worst = max(worst, cq.witness_value)
-            verdicts[name] = qrt.ResourceVerdict(free, worst)
-            notes.append("multi-sender discord verdict checks each receiver marginal")
-    elif name == "locality":
-        group = len(sys)
-        worst_m = 0.0
-        window = qrt.isotropic_local_range(2)
-        for k in range(n_senders):
-            marg = receiver.marginal(range(k * group, (k + 1) * group))
-            if marg.dims != (2, 2):
-                raise ValueError("locality verdicts support two-qubit registers only")
-            m = qrt.chsh_parameter(marg)
-            worst_m = max(worst_m, m)
-            weight = _isotropic_weight(marg)
-            if float(window[0]) - 1e-9 <= weight <= float(window[1]) + 1e-9:
-                notes.append(
-                    f"activation risk: receiver marginal {k} sits in the entangled-but-"
-                    f"local window ({float(window[0]):.6f}, {float(window[1]):.6f}]; "
-                    "copies of it can exhibit nonlocality jointly"
-                )
-        violated = worst_m > 1.0 + qrt.TOL_CHSH
-        verdicts[name] = qrt.ResourceVerdict(not violated, worst_m, decisive=violated)
-        verdicts["entanglement"] = qrt.ppt_all_cuts(receiver)
-        notes.append("locality breach determination is limited to per-pair CHSH")
-    return verdicts, tuple(notes)
-
-
 def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     """Censor each strategy's own block and judge the receiver state.
 
@@ -601,7 +365,7 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     the receiver is the Kronecker product of the small outputs; the joint
     sender state is never built.
     """
-    qrt.get_theory(scenario.theory)
+    theory = qrt.get_theory(scenario.theory)
     if scenario.rng_algorithm.lower() not in RNG_ALGORITHMS:
         raise ScenarioError(
             f"unsupported rng algorithm {scenario.rng_algorithm!r}; known: {RNG_ALGORITHMS}"
@@ -649,7 +413,10 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
                 )
             sender_pos += st.spans if st.kind == "correlated" else 1
 
-    verdicts, notes = _receiver_verdicts(scenario, receiver, n_senders, channel.system_dims)
+    if theory.judge is None:
+        verdicts, notes = {theory.name: theory.free(receiver)}, ()
+    else:
+        verdicts, notes = theory.judge(receiver, n_senders)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive
     return CensorshipReport(
@@ -661,38 +428,6 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     )
 
 
-def smuggle_eigenstate_demo() -> CensorshipReport:
-    """Why eigenbasis dephasing is rejected for entanglement.
-
-    The separable isotropic state at the boundary p = 1/3 has the maximally
-    entangled vector among its eigenstates, so the dephasing branch built
-    from its description passes that vector through untouched.
-    """
-    from .states import isotropic
-
-    sigma = isotropic(2, 1.0 / 3.0)
-    _, basis = linalg.hermitian_eig(sigma.mat)
-    branch = dephasing_channel(basis, dims=(2, 2))
-    phi = bell_phi_plus(2)
-    receiver = apply(branch, phi)
-    fixed = apply(branch, sigma)
-    verdict = qrt.is_free_entanglement(receiver, cut=(0,))
-    return CensorshipReport(
-        receiver_state=receiver,
-        verdicts={"entanglement": verdict},
-        breach=(not verdict.is_free) and verdict.decisive,
-        notes=(
-            "eigen-dephasing branch built from the boundary separable state "
-            "fixes the maximally entangled eigenvector",
-        ),
-        extras={
-            "distance_to_phi_plus": linalg.hs_distance(receiver.mat, phi.mat),
-            "described_state_fixed_point_defect": linalg.hs_distance(fixed.mat, sigma.mat),
-            "ppt_witness": verdict.witness_value,
-        },
-    )
-
-
 @dataclass(frozen=True)
 class NoiseComparison:
     """Hilbert-Schmidt distances to the intended state, before and after the
@@ -701,20 +436,6 @@ class NoiseComparison:
 
     d_noisy: float
     d_censored: float
-
-
-def _sample_free_states(theory: str, dim: int, rng, count: int):
-    from .states import random_density, random_real_density
-
-    for _ in range(count):
-        if theory == "imaginarity":
-            yield random_real_density(dim, dim, rng)
-        elif theory == "coherence":
-            probs = rng.random(dim)
-            probs /= probs.sum()
-            yield DensityOperator(np.diag(probs).astype(complex), (dim,))
-        else:
-            yield random_density(dim, dim, rng)
 
 
 def noise_comparison(
@@ -730,28 +451,20 @@ def noise_comparison(
     Requires ``sigma`` free and the noise resource non-generating for the
     theory (verified by sampling free states through the noise).
     """
-    if theory not in _EIGEN_DEPHASING_THEORIES:
+    entry = qrt.get_theory(theory)
+    if entry.sample_free is None:
         raise ValueError("noise comparison applies to eigenbasis-dephasing theories")
-    free_check = (
-        qrt.is_free_imaginarity(sigma) if theory == "imaginarity" else qrt.is_free_coherence(sigma)
-    )
+    free_check = entry.free(sigma)
     if not free_check.is_free:
         raise ValueError(f"sigma is not free for {theory} (witness {free_check.witness_value:.3e})")
-    from .states import make_rng
-
     rng = make_rng(seed)
-    for probe in _sample_free_states(theory, sigma.dim, rng, samples):
-        out = noise.apply_matrix(probe.mat)
-        out_free = (
-            qrt.is_free_imaginarity(DensityOperator(out, probe.dims))
-            if theory == "imaginarity"
-            else qrt.is_free_coherence(DensityOperator(out, probe.dims))
-        )
-        if not out_free.is_free:
+    for _ in range(samples):
+        probe = entry.sample_free(sigma.dim, rng)
+        out = DensityOperator(noise.apply_matrix(probe.mat), probe.dims)
+        if not entry.free(out).is_free:
             raise ValueError("noise channel generates the resource on free states")
     if branch is None:
-        _, basis = linalg.hermitian_eig(sigma.mat)
-        branch = dephasing_channel(basis, dims=sigma.dims)
+        branch = _eigen_dephasing_branch(sigma)
     noisy = noise.apply_matrix(sigma.mat)
     censored = branch.apply_matrix(noisy)
     return NoiseComparison(

@@ -26,6 +26,19 @@ EXIT_BREACH = 3
 SEED_ENV = "QCENSOR_SEED"
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qcensor",
@@ -45,8 +58,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser("verify", help="run a verification suite")
     verify_p.add_argument("--suite", required=True, help=f"one of: {', '.join(sorted(SUITES))}")
-    verify_p.add_argument("--samples", type=int, default=200)
-    verify_p.add_argument("--seed", type=int, default=7)
+    verify_p.add_argument("--samples", type=_int_at_least(1), default=200)
+    verify_p.add_argument("--seed", type=_int_at_least(0), default=7)
     verify_p.add_argument("--format", choices=("text", "json"), default="text")
 
     return parser

@@ -17,9 +17,8 @@ from .censorship import (
     encode_description,
     noise_comparison,
     run_protocol,
-    smuggle_eigenstate_demo,
 )
-from .channels import ChannelSpec, amplitude_damping
+from .channels import ChannelSpec, amplitude_damping, apply, dephasing_channel
 from .states import DensityOperator, bell_phi_plus, from_pure, isotropic, tensor
 
 DEMO_SEED = 2024
@@ -69,8 +68,34 @@ def bell_filter_demo() -> CensorshipReport:
     return report
 
 
-def eigen_smuggle_demo() -> CensorshipReport:
-    return smuggle_eigenstate_demo()
+def smuggle_eigenstate_demo() -> CensorshipReport:
+    """Why eigenbasis dephasing is rejected for entanglement.
+
+    The separable isotropic state at the boundary p = 1/3 has the maximally
+    entangled vector among its eigenstates, so the dephasing branch built
+    from its description passes that vector through untouched.
+    """
+    sigma = isotropic(2, 1.0 / 3.0)
+    _, basis = linalg.hermitian_eig(sigma.mat)
+    branch = dephasing_channel(basis, dims=(2, 2))
+    phi = bell_phi_plus(2)
+    receiver = apply(branch, phi)
+    fixed = apply(branch, sigma)
+    verdict = qrt.is_free_entanglement(receiver, cut=(0,))
+    return CensorshipReport(
+        receiver_state=receiver,
+        verdicts={"entanglement": verdict},
+        breach=(not verdict.is_free) and verdict.decisive,
+        notes=(
+            "eigen-dephasing branch built from the boundary separable state "
+            "fixes the maximally entangled eigenvector",
+        ),
+        extras={
+            "distance_to_phi_plus": linalg.hs_distance(receiver.mat, phi.mat),
+            "described_state_fixed_point_defect": linalg.hs_distance(fixed.mat, sigma.mat),
+            "ppt_witness": verdict.witness_value,
+        },
+    )
 
 
 def discord_breach_demo() -> CensorshipReport:
@@ -183,14 +208,8 @@ def noise_correction_demo(gammas: tuple[float, ...] = (0.1, 0.5, 0.9)) -> Censor
 
 DEMOS = {
     "bell_filter": bell_filter_demo,
-    "eigen_smuggle": eigen_smuggle_demo,
+    "eigen_smuggle": smuggle_eigenstate_demo,
     "discord_breach": discord_breach_demo,
     "nonlocal_activation": nonlocal_activation_demo,
     "noise_correction": noise_correction_demo,
 }
-
-
-def run_demo(name: str) -> CensorshipReport:
-    if name not in DEMOS:
-        raise ValueError(f"unknown demo {name!r}; known: {sorted(DEMOS)}")
-    return DEMOS[name]()

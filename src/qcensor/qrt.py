@@ -1,10 +1,13 @@
-"""Resource theories: free-state membership, discord, CHSH, Born statistics.
+"""Resource theories: free-state membership, discord, CHSH, Born statistics,
+free-state descriptions, and the registry of theories.
 
-Five concrete theories are registered. Coherence and imaginarity (realness)
-are affine, entanglement is convex, discord is nonconvex, and locality can
-be activated by combining free states. The discord measurement side is an
-explicit parameter: measuring side "X" (the first factor, the default)
-means the free set is the classical-quantum states, classical on X.
+Five concrete theories are registered in ``THEORIES``, and each entry holds
+everything the censorship engine knows about its theory. Coherence and
+imaginarity (realness) are affine, entanglement is convex, discord is
+nonconvex, and locality can be activated by combining free states. The
+discord measurement side is an explicit parameter: measuring side "X" (the
+first factor, the default) means the free set is the classical-quantum
+states, classical on X.
 """
 
 from __future__ import annotations
@@ -12,17 +15,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import linalg
-from .states import DensityOperator
+from .linalg import DimSignature
+from .states import DensityOperator, bell_phi_plus, random_real_density
 
 TOL_DIAG = 1e-8
 TOL_PPT = 1e-9
 TOL_CQ = 1e-8
 TOL_CHSH = 1e-9
+TOL_CLAIM_MATCH = 1e-8
+LABEL_DECIMALS = 9
 
 PAULIS = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -42,28 +48,6 @@ class ResourceVerdict:
     is_free: bool
     witness_value: float
     decisive: bool = True
-
-
-@dataclass(frozen=True)
-class ResourceTheory:
-    name: str
-    structure: str  # affine | convex | nonconvex | activatable
-
-
-THEORIES = {
-    "coherence": ResourceTheory("coherence", "affine"),
-    "imaginarity": ResourceTheory("imaginarity", "affine"),
-    "entanglement": ResourceTheory("entanglement", "convex"),
-    "discord": ResourceTheory("discord", "nonconvex"),
-    "locality": ResourceTheory("locality", "activatable"),
-}
-
-
-def get_theory(name: str) -> ResourceTheory:
-    try:
-        return THEORIES[name]
-    except KeyError:
-        raise ValueError(f"unknown theory {name!r}; known: {sorted(THEORIES)}") from None
 
 
 def is_free_coherence(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
@@ -257,6 +241,14 @@ def chsh_parameter(rho: DensityOperator) -> float:
     return float(w[-1] + w[-2])
 
 
+def is_free_locality(rho: DensityOperator) -> ResourceVerdict:
+    """CHSH test of a two-qubit state: a violation (M > 1) is decisive, while
+    no violation is only necessary for a local model."""
+    m = chsh_parameter(rho)
+    violated = m > 1.0 + TOL_CHSH
+    return ResourceVerdict(not violated, m, decisive=violated)
+
+
 def isotropic_local_range(d: int) -> tuple[Fraction, Fraction]:
     """Exact mixing-parameter window where the isotropic state is entangled
     but admits a local model: (1/(1+d), (3d-1)(d-1)^(d-1) / ((d+1) d^d))."""
@@ -296,3 +288,306 @@ def born_probabilities(
         for b, n in enumerate(ny):
             table[a, b] = float(np.trace(rho.mat @ np.kron(m, n)).real)
     return np.clip(table, 0.0, None)
+
+
+# ------------------------------------------------------------ descriptions
+
+
+def _quantize(x: float) -> float:
+    q = round(float(x), LABEL_DECIMALS)
+    return 0.0 if q == 0 else q
+
+
+def _fmt(x: float) -> str:
+    return format(_quantize(x), f".{LABEL_DECIMALS}f")
+
+
+def _fmt_complex(z: complex) -> str:
+    return f"{_fmt(z.real)},{_fmt(z.imag)}"
+
+
+@dataclass(frozen=True, eq=False)
+class Description:
+    """Classical message identifying a free state up to its encoding class.
+
+    A description is a canonical, quantized classical encoding of a free
+    state. Its label is the projective-measurement outcome carried by a
+    message register; states sharing an encoding equivalence class share a
+    label.
+    """
+
+    theory: str
+    payload: tuple
+    label: bytes
+    state: DensityOperator
+
+
+def _require_state(theory: str, sigma: DensityOperator | None) -> DensityOperator:
+    if sigma is None:
+        raise ValueError(f"theory {theory!r} requires the state to describe")
+    return sigma
+
+
+def _encode_coherence(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
+    verdict = is_free_coherence(_require_state("coherence", sigma))
+    if not verdict.is_free:
+        raise ValueError(
+            f"state is not incoherent (max off-diagonal {verdict.witness_value:.3e})"
+        )
+    probs = np.clip(np.diag(sigma.mat).real, 0.0, None)
+    probs = probs / probs.sum()
+    payload = tuple(_quantize(p) for p in probs[:-1])
+    label = f"coherence|probs|{';'.join(_fmt(p) for p in probs[:-1])}".encode()
+    canonical = DensityOperator(np.diag(probs).astype(complex), sigma.dims)
+    return Description("coherence", payload, label, canonical)
+
+
+def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
+    verdict = is_free_imaginarity(_require_state("imaginarity", sigma))
+    if not verdict.is_free:
+        raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
+    real_mat = sigma.mat.real.astype(complex)
+    _, vecs = linalg.hermitian_eig(real_mat)
+    if float(np.abs(vecs.imag).max()) > 1e-8:
+        raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
+    basis = vecs.real
+    # Order columns by the vectors themselves, not by eigenvalue, so that
+    # commuting states (same eigenvectors, any spectra) share a label.
+    order = sorted(range(basis.shape[1]), key=lambda j: linalg._lex_key(basis[:, j]))
+    basis = basis[:, order]
+    payload = tuple(tuple(_quantize(x) for x in basis[:, j]) for j in range(basis.shape[1]))
+    body = ";".join(",".join(_fmt(x) for x in basis[:, j]) for j in range(basis.shape[1]))
+    label = f"imaginarity|eigenbasis|{body}".encode()
+    canonical = DensityOperator(real_mat, sigma.dims)
+    return Description("imaginarity", payload, label, canonical)
+
+
+def _normalize_ensemble(
+    ensemble: Sequence, dims: DimSignature | None
+) -> list[tuple[float, tuple[np.ndarray, ...]]]:
+    terms: list[tuple[float, tuple[np.ndarray, ...]]] = []
+    total = 0.0
+    for entry in ensemble:
+        weight, factors = entry
+        w = float(weight)
+        if w < -1e-12:
+            raise ValueError(f"ensemble weight {w} is negative")
+        vecs = []
+        for f in factors:
+            vec = np.asarray(f, dtype=complex).reshape(-1)
+            norm = float(np.linalg.norm(vec))
+            if abs(norm - 1.0) > 1e-6:
+                raise ValueError("ensemble amplitudes are not normalized")
+            vecs.append(linalg._canonicalize_column(vec / norm))
+        terms.append((max(w, 0.0), tuple(vecs)))
+        total += max(w, 0.0)
+    if not terms:
+        raise ValueError("ensemble must contain at least one term")
+    if abs(total - 1.0) > 1e-8:
+        raise ValueError(f"ensemble weights sum to {total}, expected 1")
+    if dims is not None:
+        for _, vecs in terms:
+            if tuple(v.size for v in vecs) != tuple(dims):
+                raise ValueError("ensemble factor dimensions do not match the register")
+    return [(w / total, vecs) for w, vecs in terms]
+
+
+def _encode_entanglement(
+    sigma: DensityOperator | None, ensemble: Sequence | None
+) -> Description:
+    if ensemble is None:
+        raise ValueError(
+            "describing a separable state requires an explicit product ensemble; "
+            "extraction from a density matrix is not implemented"
+        )
+    dims = sigma.dims if sigma is not None else None
+    terms = _normalize_ensemble(ensemble, dims)
+    dims = tuple(v.size for v in terms[0][1])
+    mat = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for w, vecs in terms:
+        prod_vec = vecs[0]
+        for v in vecs[1:]:
+            prod_vec = np.kron(prod_vec, v)
+        mat += w * np.outer(prod_vec, prod_vec.conj())
+    state = DensityOperator(mat, dims)
+    if sigma is not None and linalg.hs_distance(sigma.mat, mat) > TOL_CLAIM_MATCH:
+        raise ValueError("provided state does not match the separable ensemble")
+    sanity = ppt_all_cuts(state)
+    if not sanity.is_free:
+        raise ValueError("ensemble reconstruction failed the PPT sanity check")
+    term_strs = sorted(
+        f"{_fmt(w)}:{'|'.join(','.join(_fmt_complex(z) for z in v) for v in vecs)}"
+        for w, vecs in terms
+    )
+    payload = tuple(
+        (
+            _quantize(w),
+            tuple(tuple((_quantize(z.real), _quantize(z.imag)) for z in v) for v in vecs),
+        )
+        for w, vecs in terms
+    )
+    label = f"entanglement|ensemble|{';'.join(term_strs)}".encode()
+    return Description("entanglement", payload, label, state)
+
+
+def _encode_matrix(theory: str, sigma: DensityOperator) -> Description:
+    body = ";".join(
+        ",".join(_fmt_complex(z) for z in sigma.mat[i]) for i in range(sigma.dim)
+    )
+    payload = tuple(
+        tuple((_quantize(z.real), _quantize(z.imag)) for z in sigma.mat[i])
+        for i in range(sigma.dim)
+    )
+    label = f"{theory}|matrix|{body}".encode()
+    return Description(theory, payload, label, sigma)
+
+
+def _encode_discord(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
+    verdict = is_classical_quantum(_require_state("discord", sigma))
+    if not verdict.is_free:
+        raise ValueError(
+            f"state is not classical-quantum (commutator defect {verdict.witness_value:.3e})"
+        )
+    return _encode_matrix("discord", sigma)
+
+
+def _encode_locality(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
+    verdict = is_free_locality(_require_state("locality", sigma))
+    if not verdict.is_free:
+        raise ValueError(f"state violates the CHSH bound (M = {verdict.witness_value:.6f} > 1)")
+    return _encode_matrix("locality", sigma)
+
+
+# --------------------------------------------------------- receiver judges
+
+Verdicts = tuple[dict[str, ResourceVerdict], tuple[str, ...]]
+
+
+def _register_marginals(receiver: DensityOperator, n_registers: int) -> list[DensityOperator]:
+    group = len(receiver.dims) // n_registers
+    return [receiver.marginal(range(k * group, (k + 1) * group)) for k in range(n_registers)]
+
+
+def _judge_discord(receiver: DensityOperator, n_registers: int) -> Verdicts:
+    if len(receiver.dims) == 2:
+        cq = is_classical_quantum(receiver)
+        witness = discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
+        return {"discord": ResourceVerdict(cq.is_free, witness, cq.decisive)}, ()
+    checks = [is_classical_quantum(m) for m in _register_marginals(receiver, n_registers)]
+    verdict = ResourceVerdict(all(c.is_free for c in checks), max(c.witness_value for c in checks))
+    return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
+
+
+def _isotropic_weight(marginal: DensityOperator) -> float:
+    # Twirl parameter estimated from the overlap with the maximally entangled state.
+    d = marginal.dims[0]
+    overlap = float(np.trace(marginal.mat @ bell_phi_plus(d).mat).real)
+    return (d * d * overlap - 1.0) / (d * d - 1.0)
+
+
+def _judge_locality(receiver: DensityOperator, n_registers: int) -> Verdicts:
+    notes: list[str] = []
+    worst_m = 0.0
+    lower, upper = (float(x) for x in isotropic_local_range(2))
+    for k, marg in enumerate(_register_marginals(receiver, n_registers)):
+        if marg.dims != (2, 2):
+            raise ValueError("locality verdicts support two-qubit registers only")
+        worst_m = max(worst_m, chsh_parameter(marg))
+        if lower - 1e-9 <= _isotropic_weight(marg) <= upper + 1e-9:
+            notes.append(
+                f"activation risk: receiver marginal {k} sits in the entangled-but-"
+                f"local window ({lower:.6f}, {upper:.6f}]; "
+                "copies of it can exhibit nonlocality jointly"
+            )
+    violated = worst_m > 1.0 + TOL_CHSH
+    verdicts = {
+        "locality": ResourceVerdict(not violated, worst_m, decisive=violated),
+        "entanglement": ppt_all_cuts(receiver),
+    }
+    notes.append("locality breach determination is limited to per-pair CHSH")
+    return verdicts, tuple(notes)
+
+
+def _sample_diagonal(dim: int, rng: np.random.Generator) -> DensityOperator:
+    probs = rng.random(dim)
+    probs /= probs.sum()
+    return DensityOperator(np.diag(probs).astype(complex), (dim,))
+
+
+# ---------------------------------------------------------------- registry
+
+
+@dataclass(frozen=True)
+class ResourceTheory:
+    """Everything the censorship engine knows about one resource theory.
+
+    free         free-state test on a state
+    excess       how far a state lies outside the free set; 0 on free states
+    encode       (state, ensemble) -> Description of a free state; raises
+                 ValueError on resource states
+    judge        (receiver, n_registers) -> (verdicts, notes); None judges
+                 the whole receiver with ``free``
+    sample_free  (dim, rng) -> random free state; present exactly for the
+                 theories that eigenbasis dephasing censors
+    """
+
+    name: str
+    structure: str  # affine | convex | nonconvex | activatable
+    free: Callable[[DensityOperator], ResourceVerdict]
+    excess: Callable[[DensityOperator], float]
+    encode: Callable[[DensityOperator | None, Sequence | None], Description]
+    judge: Callable[[DensityOperator, int], Verdicts] | None = None
+    sample_free: Callable[[int, np.random.Generator], DensityOperator] | None = None
+
+
+# The lambdas look functions up by their module names at call time, so a
+# wrapper bound to a name such as ``qrt.ppt_all_cuts`` also sees the calls
+# made through the registry.
+THEORIES = {
+    "coherence": ResourceTheory(
+        "coherence",
+        "affine",
+        free=is_free_coherence,
+        excess=lambda rho: is_free_coherence(rho).witness_value,
+        encode=_encode_coherence,
+        sample_free=_sample_diagonal,
+    ),
+    "imaginarity": ResourceTheory(
+        "imaginarity",
+        "affine",
+        free=is_free_imaginarity,
+        excess=lambda rho: is_free_imaginarity(rho).witness_value,
+        encode=_encode_imaginarity,
+        sample_free=lambda dim, rng: random_real_density(dim, dim, rng),
+    ),
+    "entanglement": ResourceTheory(
+        "entanglement",
+        "convex",
+        free=lambda rho: ppt_all_cuts(rho),
+        excess=lambda rho: -min(0.0, ppt_all_cuts(rho).witness_value),
+        encode=_encode_entanglement,
+    ),
+    "discord": ResourceTheory(
+        "discord",
+        "nonconvex",
+        free=lambda rho: is_classical_quantum(rho),
+        excess=lambda rho: is_classical_quantum(rho).witness_value,
+        encode=_encode_discord,
+        judge=_judge_discord,
+    ),
+    "locality": ResourceTheory(
+        "locality",
+        "activatable",
+        free=is_free_locality,
+        excess=lambda rho: max(0.0, chsh_parameter(rho) - 1.0),
+        encode=_encode_locality,
+        judge=_judge_locality,
+    ),
+}
+
+
+def get_theory(name: str) -> ResourceTheory:
+    try:
+        return THEORIES[name]
+    except KeyError:
+        raise ValueError(f"unknown theory {name!r}; known: {sorted(THEORIES)}") from None

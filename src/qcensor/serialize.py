@@ -31,6 +31,13 @@ def _number(value: Any, cast, what: str):
         raise ScenarioError(f"{what} must be a number, got {value!r}") from exc
 
 
+def _integer(value: Any, what: str) -> int:
+    # int() would truncate 2.7 to 2 and read true as 1
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ScenarioError(f"{what} must be an integer, got {value!r}")
+    return _number(value, int, what)
+
+
 def matrix_to_json(mat: np.ndarray) -> dict:
     arr = np.asarray(mat, dtype=complex)
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
@@ -59,7 +66,7 @@ def state_from_json(obj: Any, what: str = "state") -> DensityOperator:
         raise ScenarioError(f"{what} must be an object with 'dims', 're', 'im'")
     mat = matrix_from_json(obj, what)
     try:
-        return DensityOperator(mat, tuple(int(d) for d in obj["dims"]))
+        return DensityOperator(mat, tuple(_integer(d, f"{what} dims") for d in obj["dims"]))
     except (TypeError, ValueError) as exc:
         raise ScenarioError(f"{what} is not a valid density operator: {exc}") from exc
 
@@ -162,7 +169,7 @@ def _strategy_from_json(obj: Any, pos: int) -> SenderStrategy:
             claimed = [claim_from_json(c) for c in raw]
         else:
             claimed = claim_from_json(raw)
-    spans = _number(obj.get("spans", 1), int, f"sender {pos} 'spans'")
+    spans = _integer(obj.get("spans", 1), f"sender {pos} 'spans'")
     if spans < 1:
         raise ScenarioError(f"sender {pos}: 'spans' must be at least 1, got {spans}")
     if kind == "honest" and state is None and ensemble is None:
@@ -191,7 +198,7 @@ def scenario_from_json(obj: Any) -> NetworkScenario:
         channel_kind=str(obj["channel_kind"]),
         strategies=strategies,
         noise=noise,
-        seed=None if seed is None else _number(seed, int, "'seed'"),
+        seed=None if seed is None else _integer(seed, "'seed'"),
         rng_algorithm=str(obj.get("rng", "pcg64")),
     )
 

@@ -146,12 +146,6 @@ def from_pure(psi: PureState | np.ndarray, dims: Sequence[int] | None = None) ->
     return DensityOperator(mat, sig)
 
 
-def basis_ket(dim: int, a: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
-    vec[a] = 1.0
-    return vec
-
-
 def maximally_mixed(dims: Sequence[int]) -> DensityOperator:
     sig = tuple(int(d) for d in dims)
     d = int(np.prod(sig))

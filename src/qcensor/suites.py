@@ -8,11 +8,10 @@ The breach-style suites pass by *finding* the breach.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from . import linalg, qrt
+from . import qrt
 from .channels import (
     amplitude_damping,
     dephasing_channel,
@@ -21,6 +20,7 @@ from .channels import (
     replacement_channel,
 )
 from .censorship import (
+    Claim,
     ConditionalRDChannel,
     DensityOperator,
     apply_censorship,
@@ -91,18 +91,6 @@ def suite_affine_unbreakable(samples: int = 200, seed: int = 7) -> SuiteResult:
     return result
 
 
-def _every_bipartition_neg(receiver: DensityOperator) -> float:
-    worst = 0.0
-    n = len(receiver.dims)
-    for r in range(1, n // 2 + 1):
-        for side in combinations(range(n), r):
-            if r == n / 2 and side[0] != 0:
-                continue
-            pt = linalg.partial_transpose(receiver.mat, receiver.dims, side)
-            worst = max(worst, -linalg.min_eigenvalue(pt))
-    return worst
-
-
 def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
     """Random two-sender joint states against replacement branches built from
     random separable two-qubit states.
@@ -131,7 +119,8 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
                     ch.target_for_index(i).mat, ch.target_for_index(j).mat
                 )
         result.record("mixture_reconstruction", float(np.abs(receiver.mat - expected).max()), 1e-9)
-        result.record("ppt_negativity", _every_bipartition_neg(receiver), 1e-9)
+        ppt = qrt.ppt_all_cuts(receiver).witness_value
+        result.record("ppt_negativity", -min(0.0, ppt), 1e-9)
     return result
 
 
@@ -175,13 +164,11 @@ def suite_activation(samples: int = 1, seed: int = 0) -> SuiteResult:
 
 
 def _branch_condition_defects(
-    ch: ConditionalRDChannel,
-    theory: str,
-    rng: np.random.Generator,
-    samples: int,
+    ch: ConditionalRDChannel, rng: np.random.Generator, samples: int
 ) -> tuple[float, float]:
     """Sampled condition (v) (free output on any input) and exact-case
     condition (vi) (described state is a fixed point) defects."""
+    excess = qrt.get_theory(ch.theory).excess
     free_defect = 0.0
     dims = ch.system_dims
     dim = int(np.prod(dims))
@@ -190,16 +177,7 @@ def _branch_condition_defects(
         probe = random_density(dim, dim, rng, dims=dims)
         for branch in branches:
             out = DensityOperator(branch.apply_matrix(probe.mat), dims)
-            if theory == "coherence":
-                free_defect = max(free_defect, qrt.is_free_coherence(out).witness_value)
-            elif theory == "imaginarity":
-                free_defect = max(free_defect, qrt.is_free_imaginarity(out).witness_value)
-            elif theory == "entanglement":
-                free_defect = max(free_defect, -min(0.0, qrt.ppt_all_cuts(out).witness_value))
-            elif theory == "discord":
-                free_defect = max(free_defect, qrt.is_classical_quantum(out).witness_value)
-            elif theory == "locality":
-                free_defect = max(free_defect, max(0.0, qrt.chsh_parameter(out) - 1.0))
+            free_defect = max(free_defect, excess(out))
     fixed_defect = 0.0
     for desc, label in zip(ch.descriptions, ch.labels):
         out = ch.branch_for_label(label).apply_matrix(desc.state.mat)
@@ -241,50 +219,24 @@ def suite_channel_axioms(samples: int = 100, seed: int = 3) -> SuiteResult:
         b = repl.apply_matrix(random_density(2, 2, rng).mat)
         result.record("replacement_input_independence", float(np.abs(a - b).max()), 1e-10)
 
-    conditionals = {
-        "coherence": build_conditional_channel(
-            "coherence",
-            "eigen_dephasing",
-            [
-                encode_description(
-                    "coherence",
-                    DensityOperator(np.diag([0.25, 0.75]).astype(complex), (2,)),
-                )
-            ],
-        ),
-        "imaginarity": build_conditional_channel(
-            "imaginarity",
-            "eigen_dephasing",
-            [encode_description("imaginarity", random_real_density(2, 2, rng)) for _ in range(2)],
-        ),
-        "entanglement": build_conditional_channel(
-            "entanglement",
-            "replacement",
-            [encode_description("entanglement", ensemble=random_separable_ensemble(rng))],
-        ),
-        "discord": build_conditional_channel(
-            "discord",
-            "replacement",
-            [
-                encode_description(
-                    "discord",
-                    maximally_mixed((2, 2)),
-                )
-            ],
-        ),
-        "locality": build_conditional_channel(
-            "locality",
-            "replacement",
-            [encode_description("locality", isotropic(2, 5 / 12))],
-        ),
+    # One conditional channel per theory, eigenbasis dephasing where it censors.
+    claims = {
+        "coherence": [Claim(DensityOperator(np.diag([0.25, 0.75]).astype(complex), (2,)))],
+        "imaginarity": [Claim(random_real_density(2, 2, rng)) for _ in range(2)],
+        "entanglement": [Claim(ensemble=random_separable_ensemble(rng))],
+        "discord": [Claim(maximally_mixed((2, 2)))],
+        "locality": [Claim(isotropic(2, 5 / 12))],
     }
-    for theory, ch in conditionals.items():
+    for theory, theory_claims in claims.items():
+        kind = "replacement" if qrt.THEORIES[theory].sample_free is None else "eigen_dephasing"
+        descs = [encode_description(theory, c.state, c.ensemble) for c in theory_claims]
+        ch = build_conditional_channel(theory, kind, descs)
         for i in range(ch.message_dim):
             branch = ch.branch_for_index(i)
             probe = random_density(branch.in_dim, branch.in_dim, rng)
             out = branch.apply_matrix(probe.mat)
             result.record("trace_preservation", abs(float(out.trace().real) - 1.0), 1e-10)
-        free_defect, fixed_defect = _branch_condition_defects(ch, theory, rng, samples)
+        free_defect, fixed_defect = _branch_condition_defects(ch, rng, samples)
         # for locality the condition (v) witness is the CHSH excess above 1
         bound_v = 1e-9 if theory == "locality" else 1e-8
         result.record(f"condition_v_{theory}", free_defect, bound_v)

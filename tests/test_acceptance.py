@@ -27,7 +27,6 @@ from qcensor.censorship import (
     encode_description,
     noise_comparison,
     run_protocol,
-    smuggle_eigenstate_demo,
 )
 from qcensor.channels import (
     amplitude_damping,
@@ -38,7 +37,12 @@ from qcensor.channels import (
     transpose_map,
 )
 from qcensor.cli import EXIT_BREACH, main
-from qcensor.demos import bell_filter_demo, discord_breach_demo, nonlocal_activation_demo
+from qcensor.demos import (
+    bell_filter_demo,
+    discord_breach_demo,
+    nonlocal_activation_demo,
+    smuggle_eigenstate_demo,
+)
 from qcensor.states import (
     DensityOperator,
     bell_phi_plus,

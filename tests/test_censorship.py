@@ -12,9 +12,9 @@ from qcensor.censorship import (
     encode_description,
     noise_comparison,
     run_protocol,
-    smuggle_eigenstate_demo,
 )
 from qcensor.channels import ChannelSpec, amplitude_damping, depolarizing, identity_channel
+from qcensor.demos import smuggle_eigenstate_demo
 from qcensor.states import (
     DensityOperator,
     bell_phi_plus,
@@ -165,6 +165,37 @@ def test_eigen_dephasing_rejected_for_discord_and_locality():
     l_desc = encode_description("locality", isotropic(2, 0.2))
     with pytest.raises(ValueError):
         build_conditional_channel("locality", "eigen_dephasing", [l_desc])
+
+
+@pytest.mark.parametrize("name", sorted(qrt.THEORIES))
+def test_registry_entry_contract(name):
+    """Every registry entry describes, judges and censors one known free state."""
+    known_free = {
+        "coherence": {"state": DensityOperator(np.diag([0.25, 0.75]).astype(complex), (2,))},
+        "imaginarity": {"state": random_real_density(2, 2, 5)},
+        "entanglement": {"ensemble": [(0.5, (Z0, PLUS)), (0.5, (Z1, MINUS))]},
+        "discord": {"state": tensor(from_pure(Z0), from_pure(PLUS))},
+        "locality": {"state": isotropic(2, 5 / 12)},
+    }[name]
+    entry = qrt.THEORIES[name]
+    desc = encode_description(name, sigma=known_free.get("state"), ensemble=known_free.get("ensemble"))
+    assert desc.theory == name
+    assert entry.free(desc.state).is_free
+    assert entry.excess(desc.state) <= 1e-12
+
+    report = run_protocol(
+        NetworkScenario(name, "replacement", [SenderStrategy("honest", **known_free)])
+    )
+    assert linalg.hs_distance(report.receiver_state.mat, desc.state.mat) < 1e-12
+    assert not report.breach
+
+    if entry.sample_free is None:
+        with pytest.raises(ValueError, match="not resource destroying"):
+            build_conditional_channel(name, "eigen_dephasing", [desc])
+    else:
+        assert build_conditional_channel(name, "eigen_dephasing", [desc]).kind == "eigen_dephasing"
+        probe = entry.sample_free(3, make_rng(0))
+        assert probe.dim == 3 and entry.free(probe).is_free
 
 
 def test_unknown_kind_rejected():

@@ -11,11 +11,15 @@ import pytest
 import qcensor
 from qcensor.censorship import MAX_RECEIVER_DIM
 from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from qcensor.demos import DEMOS
 from qcensor.serialize import state_to_json
 from qcensor.states import bell_phi_plus, from_pure, isotropic, random_real_density
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
+# Byte-exact demo reports (written with numpy 2.4.6); a deliberate report
+# change regenerates them.
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def _honest_imaginarity_scenario(seed=5):
@@ -163,6 +167,13 @@ def test_demo_unknown_lists_names(capsys):
     assert "bell_filter" in err
 
 
+@pytest.mark.parametrize("fmt", ["json", "pretty"])
+@pytest.mark.parametrize("name", sorted(DEMOS))
+def test_demo_report_matches_golden(name, fmt, capsys):
+    main(["demo", name, "--format", fmt])
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
 def test_demo_json_format(capsys):
     code = main(["demo", "eigen_smuggle", "--format", "json"])
     payload = json.loads(capsys.readouterr().out)
@@ -182,6 +193,23 @@ def test_verify_unknown_suite(capsys):
     code = main(["verify", "--suite", "nonsense"])
     assert code == EXIT_USAGE
     assert "affine_unbreakable" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--suite", "affine_unbreakable", "--samples", "-5"],
+        ["--suite", "affine_unbreakable", "--samples", "0"],
+        ["--suite", "activation", "--seed", "-1"],
+    ],
+    ids=["samples-negative", "samples-zero", "seed-negative"],
+)
+def test_verify_rejects_bad_counts_at_parsing(argv, capsys):
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert "must be at least" in captured.err
 
 
 def test_verify_json_format(capsys):
@@ -272,8 +300,13 @@ def _entanglement_honest():
     "scenario",
     [
         _with(_honest_imaginarity_scenario(), seed="x"),
+        _with(_honest_imaginarity_scenario(), seed=2.7),
+        _with(_honest_imaginarity_scenario(), seed=True),
         _with(_discord_breach_scenario(), senders__0__spans="two"),
+        _with(_discord_breach_scenario(), senders__0__spans=1.9),
+        _with(_discord_breach_scenario(), senders__0__spans=True),
         _with(_discord_breach_scenario(), senders__0__spans=0),
+        _with(_honest_imaginarity_scenario(), senders__0__state__dims=[2.5]),
         _with(_entanglement_honest(), senders__0__ensemble__0__weight="w"),
         _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {"strength": "s"}}),
         _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {}}),
@@ -283,8 +316,13 @@ def _entanglement_honest():
     ],
     ids=[
         "seed-not-int",
+        "seed-not-integral",
+        "seed-bool",
         "spans-not-int",
+        "spans-not-integral",
+        "spans-bool",
         "spans-below-one",
+        "dims-not-integral",
         "weight-not-number",
         "strength-not-number",
         "strength-missing",
