@@ -15,13 +15,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg, qrt
-from .channels import (
-    ChannelSpec,
-    GeneralLinearMap,
-    KrausChannel,
-    dephasing_channel,
-    replacement_channel,
-)
+from .channels import ChannelSpec, KrausChannel, dephasing_channel, replacement_channel
 from .linalg import DimSignature
 from .qrt import Description
 from .states import RNG_ALGORITHMS, DensityOperator, make_rng, maximally_mixed
@@ -166,12 +160,9 @@ def _pair_transfer(
     """
     m = len(branches)
     d_in, d_out = branches[0].in_dim, branches[0].out_dim
-    noise_t = GeneralLinearMap.from_kraus(noise).transfer if noise is not None else None
     t = np.zeros((d_out, d_out, m, d_in, m, d_in), dtype=complex)
     for i, branch in enumerate(branches):
-        t_i = GeneralLinearMap.from_kraus(branch).transfer
-        if noise_t is not None:
-            t_i = t_i @ noise_t
+        t_i = branch.transfer if noise is None else branch.transfer @ noise.transfer
         t[:, :, i, :, i, :] = t_i.reshape(d_out, d_out, d_in, d_in)
     return t.reshape(d_out * d_out, (m * d_in) ** 2)
 
@@ -352,7 +343,8 @@ def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
     reg_dim = int(np.prod(sys))
     if noise.in_dim != reg_dim or noise.out_dim != reg_dim:
         raise ScenarioError(
-            f"noise channel acts on dimension {noise.in_dim}, registers have {reg_dim}"
+            f"noise channel maps dimension {noise.in_dim} to dimension {noise.out_dim}; "
+            f"registers have dimension {reg_dim}"
         )
     return noise
 
@@ -365,7 +357,10 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     the receiver is the Kronecker product of the small outputs; the joint
     sender state is never built.
     """
-    theory = qrt.get_theory(scenario.theory)
+    try:
+        theory = qrt.get_theory(scenario.theory)
+    except ValueError as exc:
+        raise ScenarioError(str(exc)) from exc
     if scenario.rng_algorithm.lower() not in RNG_ALGORITHMS:
         raise ScenarioError(
             f"unsupported rng algorithm {scenario.rng_algorithm!r}; known: {RNG_ALGORITHMS}"
@@ -389,29 +384,23 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
         [channel.branch_for_index(i) for i in range(channel.message_dim)], noise_ch
     )
     outputs = []
+    distances: list[dict] | None = None if noise_ch is None else []
+    sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
         block, dims, spans = _sender_block(pos, st, descs, channel)
         outputs.append(_censor_pairs(block, dims, transfer, spans, sys))
+        if distances is not None and st.kind == "honest":
+            sent = st.state if st.state is not None else descs[0].state
+            distances.append(
+                {
+                    "sender": sender_pos,
+                    "d_noisy": linalg.hs_distance(sent.mat, noise_ch.apply_matrix(sent.mat)),
+                    "d_censored": linalg.hs_distance(sent.mat, outputs[-1]),
+                }
+            )
+        sender_pos += spans
     mat = linalg.kron_all(outputs)
     receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
-
-    distances: list[dict] | None = None
-    if noise_ch is not None:
-        distances = []
-        sender_pos = 0
-        for st, descs in zip(scenario.strategies, per_strategy):
-            if st.kind == "honest":
-                sent = st.state if st.state is not None else descs[0].state
-                noisy = noise_ch.apply_matrix(sent.mat)
-                censored = channel.branch_for_label(descs[0].label).apply_matrix(noisy)
-                distances.append(
-                    {
-                        "sender": sender_pos,
-                        "d_noisy": linalg.hs_distance(sent.mat, noisy),
-                        "d_censored": linalg.hs_distance(sent.mat, censored),
-                    }
-                )
-            sender_pos += st.spans if st.kind == "correlated" else 1
 
     if theory.judge is None:
         verdicts, notes = {theory.name: theory.free(receiver)}, ()

@@ -1,9 +1,12 @@
 """Quantum channels in Kraus form, general linear maps, and Choi analysis.
 
-Conventions fixed repo-wide: the Choi matrix is the unnormalized
-``C = sum_ij L(|i><j|) (x) |i><j|`` with ordering output (x) input, so the
-identity qubit channel has Choi ``2 * phi_plus`` and the transpose map has
-Choi SWAP. Transfer matrices act on row-major vectorized operators.
+Every map acts through its transfer matrix T on row-major vectorized
+operators; a Kraus channel builds T = sum_k K (x) conj(K) once and keeps its
+Kraus operators only to certify that it is CPTP. Conventions fixed repo-wide:
+the Choi matrix is the unnormalized ``C = sum_ij L(|i><j|) (x) |i><j|`` with
+ordering output (x) input, the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)], so
+the identity qubit channel has Choi ``2 * phi_plus`` and the transpose map
+has Choi SWAP.
 """
 
 from __future__ import annotations
@@ -21,13 +24,21 @@ TOL_TP = 1e-9
 _RANK_ONE_TOL = 1e-9
 
 
+def _act(transfer: np.ndarray, in_dim: int, out_dim: int, mat: np.ndarray) -> np.ndarray:
+    arr = linalg.as_complex_matrix(mat)
+    if arr.shape != (in_dim, in_dim):
+        raise ValueError(f"operator shape {arr.shape} does not match input dim {in_dim}")
+    return (transfer @ arr.reshape(-1)).reshape(out_dim, out_dim)
+
+
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """Completely positive trace-preserving map in operator-sum form."""
+    """CPTP map in operator-sum form; its read-only ``transfer`` is what acts."""
 
     kraus: tuple[np.ndarray, ...]
     in_dims: DimSignature
     out_dims: DimSignature
+    transfer: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = tuple(linalg.as_complex_matrix(k) for k in self.kraus)
@@ -42,9 +53,16 @@ class KrausChannel:
         defect = float(np.abs(total - np.eye(d_in)).max())
         if defect > TOL_TP:
             raise ValueError(f"Kraus operators are not trace preserving (defect {defect:.3e})")
+        # row-major vec(K X K^dag) = (K (x) conj(K)) vec(X), summed over K
+        transfer = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
+        for k in ops:
+            transfer += k[:, None, :, None] * k.conj()[None, :, None, :]
+        transfer = transfer.reshape(d_out * d_out, d_in * d_in)
+        transfer.setflags(write=False)
         object.__setattr__(self, "kraus", ops)
         object.__setattr__(self, "in_dims", linalg.check_signature(self.in_dims, d_in))
         object.__setattr__(self, "out_dims", linalg.check_signature(self.out_dims, d_out))
+        object.__setattr__(self, "transfer", transfer)
 
     @property
     def in_dim(self) -> int:
@@ -56,13 +74,7 @@ class KrausChannel:
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Linear action on an arbitrary (not necessarily normalized) operator."""
-        arr = linalg.as_complex_matrix(mat)
-        if arr.shape != (self.in_dim, self.in_dim):
-            raise ValueError(f"operator shape {arr.shape} does not match input dim {self.in_dim}")
-        out = np.zeros((self.out_dim, self.out_dim), dtype=complex)
-        for k in self.kraus:
-            out += k @ arr @ k.conj().T
-        return out
+        return _act(self.transfer, self.in_dim, self.out_dim, mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,14 +113,10 @@ class GeneralLinearMap:
 
     @classmethod
     def from_kraus(cls, ch: KrausChannel) -> "GeneralLinearMap":
-        # row-major vec(K X K^dag) = (K (x) conj(K)) vec(X)
-        return cls(sum(np.kron(k, k.conj()) for k in ch.kraus), ch.in_dim, ch.out_dim)
+        return cls(ch.transfer, ch.in_dim, ch.out_dim)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
-        arr = linalg.as_complex_matrix(mat)
-        if arr.shape != (self.in_dim, self.in_dim):
-            raise ValueError(f"operator shape {arr.shape} does not match input dim {self.in_dim}")
-        return (self.transfer @ arr.reshape(-1)).reshape(self.out_dim, self.out_dim)
+        return _act(self.transfer, self.in_dim, self.out_dim, mat)
 
 
 def apply(ch: KrausChannel | GeneralLinearMap, rho: DensityOperator):
@@ -117,15 +125,10 @@ def apply(ch: KrausChannel | GeneralLinearMap, rho: DensityOperator):
     Kraus channels return a DensityOperator; general linear maps return a
     plain matrix, since the output of a non-CP map may fail positivity.
     """
-    if isinstance(ch, KrausChannel):
-        if rho.dim != ch.in_dim:
-            raise ValueError(f"state dim {rho.dim} does not match channel input {ch.in_dim}")
-        return DensityOperator(ch.apply_matrix(rho.mat), ch.out_dims)
-    if isinstance(ch, GeneralLinearMap):
-        if rho.dim != ch.in_dim:
-            raise ValueError(f"state dim {rho.dim} does not match map input {ch.in_dim}")
-        return ch.apply_matrix(rho.mat)
-    raise TypeError(f"unsupported channel type {type(ch)!r}")
+    if rho.dim != ch.in_dim:
+        raise ValueError(f"state dim {rho.dim} does not match channel input {ch.in_dim}")
+    out = ch.apply_matrix(rho.mat)
+    return DensityOperator(out, ch.out_dims) if isinstance(ch, KrausChannel) else out
 
 
 def identity_channel(dims: Sequence[int] | int) -> KrausChannel:
@@ -239,24 +242,11 @@ class ChoiMatrix:
 
 
 def choi(ch: KrausChannel | GeneralLinearMap) -> ChoiMatrix:
-    """Choi matrix C = sum_ij L(|i><j|) (x) |i><j| (unnormalized, trace d)."""
-    if isinstance(ch, KrausChannel):
-        d_in, d_out = ch.in_dim, ch.out_dim
-        mat = np.zeros((d_in * d_out,) * 2, dtype=complex)
-        for k in ch.kraus:
-            w = k.reshape(-1)  # row-major vec == (K (x) I) |Omega>
-            mat += np.outer(w, w.conj())
-        return ChoiMatrix(mat, d_in, d_out)
-    if isinstance(ch, GeneralLinearMap):
-        d_in, d_out = ch.in_dim, ch.out_dim
-        mat = np.zeros((d_in * d_out,) * 2, dtype=complex)
-        for i in range(d_in):
-            for j in range(d_in):
-                unit = np.zeros((d_in, d_in), dtype=complex)
-                unit[i, j] = 1.0
-                mat += np.kron(ch.apply_matrix(unit), unit)
-        return ChoiMatrix(mat, d_in, d_out)
-    raise TypeError(f"unsupported channel type {type(ch)!r}")
+    """Choi matrix C = sum_ij L(|i><j|) (x) |i><j| (unnormalized, trace d),
+    the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)] of the transfer matrix."""
+    d_in, d_out = ch.in_dim, ch.out_dim
+    t = ch.transfer.reshape(d_out, d_out, d_in, d_in)
+    return ChoiMatrix(t.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
 def is_completely_positive(

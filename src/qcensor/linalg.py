@@ -146,12 +146,13 @@ def partial_transpose(
 
 
 def _canonicalize_column(col: np.ndarray) -> np.ndarray:
-    # Phase fixed so the first entry of largest magnitude is real positive.
-    pivot = int(np.argmax(np.abs(col)))
-    mag = abs(col[pivot])
-    if mag == 0.0:
+    # Phase fixed so the first entry within _TIE_TOL of the largest magnitude
+    # is real positive; float noise cannot move the pivot between near-ties.
+    mags = np.abs(col)
+    pivot = int(np.argmax(mags >= mags.max() - _TIE_TOL))
+    if mags[pivot] == 0.0:
         return col
-    return col * (col[pivot].conjugate() / mag)
+    return col * (col[pivot].conjugate() / mags[pivot])
 
 
 def _lex_key(col: np.ndarray) -> tuple:
@@ -162,9 +163,10 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
     Returns eigenvalues sorted descending and orthonormal eigenvector columns.
-    Each column is phase-fixed (first largest-magnitude entry real positive)
-    and columns inside a degenerate group are ordered lexicographically, so
-    repeated calls on equal inputs give identical output.
+    Each column is phase-fixed (first entry within a tie tolerance of the
+    largest magnitude real positive) and columns inside a degenerate group
+    are ordered lexicographically, so repeated calls on equal inputs give
+    identical output.
     """
     arr = _square(mat)
     defect = float(np.abs(arr - arr.conj().T).max())

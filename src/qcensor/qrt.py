@@ -351,11 +351,13 @@ def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None
     if float(np.abs(vecs.imag).max()) > 1e-8:
         raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
     basis = vecs.real
-    # Order columns by the vectors themselves, not by eigenvalue, so that
-    # commuting states (same eigenvectors, any spectra) share a label.
-    order = sorted(range(basis.shape[1]), key=lambda j: linalg._lex_key(basis[:, j]))
+    # Order columns by the quantized vectors themselves, not by eigenvalue,
+    # so that commuting states (same eigenvectors, any spectra) share a label
+    # and sub-label noise cannot reorder columns the label cannot tell apart.
+    columns = [tuple(_quantize(x) for x in basis[:, j]) for j in range(basis.shape[1])]
+    order = sorted(range(basis.shape[1]), key=lambda j: columns[j])
     basis = basis[:, order]
-    payload = tuple(tuple(_quantize(x) for x in basis[:, j]) for j in range(basis.shape[1]))
+    payload = tuple(columns[j] for j in order)
     body = ";".join(",".join(_fmt(x) for x in basis[:, j]) for j in range(basis.shape[1]))
     label = f"imaginarity|eigenbasis|{body}".encode()
     canonical = DensityOperator(real_mat, sigma.dims)

@@ -64,6 +64,8 @@ def state_to_json(rho: DensityOperator) -> dict:
 def state_from_json(obj: Any, what: str = "state") -> DensityOperator:
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ScenarioError(f"{what} must be an object with 'dims', 're', 'im'")
+    if not isinstance(obj["dims"], list):
+        raise ScenarioError(f"{what} dims must be a list of integers")
     mat = matrix_from_json(obj, what)
     try:
         return DensityOperator(mat, tuple(_integer(d, f"{what} dims") for d in obj["dims"]))

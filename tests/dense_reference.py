@@ -1,10 +1,15 @@
-"""The dense censorship engine, kept as the reference for the factored one.
+"""Dense reference paths, kept as oracles for the ones qcensor runs.
 
-It builds the whole Kronecker joint of the message+system registers, lifts
-every link-noise Kraus operator to that joint, and sums the censored blocks
-over every combination of message outcomes with Kronecker-lifted branch Kraus
-operators. Its cost grows like (m*d)^(3N) for N pairs, so use it only on
-joints a few hundred wide at most.
+The channel oracles act through the Kraus operators and the matrix units,
+where qcensor acts through the transfer matrix: the Kraus sum
+sum_k K X K^dag, the Choi matrix as sum_k vec(K) vec(K)^dag, and the Choi
+matrix of any linear map built from its action on the matrix units.
+
+The dense censorship engine builds the whole Kronecker joint of the
+message+system registers, lifts every link-noise Kraus operator to that
+joint, and sums the censored blocks over every combination of message
+outcomes with Kronecker-lifted branch Kraus operators. Its cost grows like
+(m*d)^(3N) for N pairs, so use it only on joints a few hundred wide at most.
 """
 
 from __future__ import annotations
@@ -23,6 +28,36 @@ from qcensor.censorship import (
 )
 from qcensor.channels import KrausChannel
 from qcensor.states import DensityOperator
+
+
+def kraus_apply(kraus, mat: np.ndarray) -> np.ndarray:
+    """sum_k K X K^dag."""
+    d_out = kraus[0].shape[0]
+    out = np.zeros((d_out, d_out), dtype=complex)
+    for k in kraus:
+        out += k @ mat @ k.conj().T
+    return out
+
+
+def kraus_choi(kraus) -> np.ndarray:
+    """sum_k vec(K) vec(K)^dag; the row-major vec(K) is (K (x) I)|Omega>."""
+    d_out, d_in = kraus[0].shape
+    mat = np.zeros((d_in * d_out,) * 2, dtype=complex)
+    for k in kraus:
+        w = k.reshape(-1)
+        mat += np.outer(w, w.conj())
+    return mat
+
+
+def map_choi(fn, d_in: int, d_out: int) -> np.ndarray:
+    """sum_ij L(|i><j|) (x) |i><j| for the linear map L = fn."""
+    mat = np.zeros((d_in * d_out,) * 2, dtype=complex)
+    for i in range(d_in):
+        for j in range(d_in):
+            unit = np.zeros((d_in, d_in), dtype=complex)
+            unit[i, j] = 1.0
+            mat += np.kron(fn(unit), unit)
+    return mat
 
 
 def lifted_kraus_apply(
@@ -121,8 +156,8 @@ def dense_run_protocol(scenario: NetworkScenario) -> tuple[np.ndarray, list[dict
         for st, descs in zip(scenario.strategies, per_strategy):
             if st.kind == "honest":
                 sent = st.state if st.state is not None else descs[0].state
-                noisy = noise_ch.apply_matrix(sent.mat)
-                censored = channel.branch_for_label(descs[0].label).apply_matrix(noisy)
+                noisy = kraus_apply(noise_ch.kraus, sent.mat)
+                censored = kraus_apply(channel.branch_for_label(descs[0].label).kraus, noisy)
                 distances.append(
                     {
                         "sender": sender_pos,

@@ -67,6 +67,20 @@ def test_encode_imaginarity_commuting_states_share_label():
     assert da.label == db.label
 
 
+def test_encode_imaginarity_label_stable_under_diagonal_noise():
+    # The eigenvectors of [[.5,.2],[.2,.5]] have entries of equal magnitude,
+    # so float noise far below the label's 9 decimals must not pick the
+    # phase pivot or the column order.
+    steps = [k * 2.5e-12 for k in range(-4, 5)]
+    labels = set()
+    for a in steps:
+        for b in steps:
+            mat = np.array([[0.5 + a, 0.2], [0.2, 0.5 + b]])
+            rho = DensityOperator(mat / np.trace(mat), (2,))
+            labels.add(encode_description("imaginarity", rho).label)
+    assert len(labels) == 1
+
+
 def test_encode_imaginarity_distinct_classes_distinct_labels():
     a, _ = _commuting_real_pair(0.3)
     c, _ = _commuting_real_pair(0.9)

@@ -313,6 +313,9 @@ def _entanglement_honest():
         _with(_honest_imaginarity_scenario(), noise={"kind": "amplitude_damping", "params": []}),
         _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": "s"}),
         _with(_locality_senders(1), noise={"kind": "amplitude_damping", "params": {"gamma": 0.5}}),
+        _with(_honest_imaginarity_scenario(), theory="magic"),
+        _with(_honest_imaginarity_scenario(), theory=5),
+        _with(_discord_breach_scenario(), senders__0__state__dims="322"),
     ],
     ids=[
         "seed-not-int",
@@ -329,6 +332,9 @@ def _entanglement_honest():
         "gamma-missing",
         "params-not-object",
         "damping-on-two-qubits",
+        "theory-unknown",
+        "theory-not-string",
+        "dims-string",
     ],
 )
 def test_malformed_scenario_exits_two_without_traceback(scenario, tmp_path, capsys):
@@ -338,6 +344,16 @@ def test_malformed_scenario_exits_two_without_traceback(scenario, tmp_path, caps
     assert code == EXIT_USAGE
     assert err.startswith("invalid scenario:")
     assert "Traceback" not in err
+
+
+def test_noise_of_wrong_width_names_both_dimensions(tmp_path, capsys):
+    qutrit = {"dims": [3], "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()}
+    noise = {"kind": "replacement", "params": {"state": qutrit}}
+    path = _write(tmp_path, _with(_honest_imaginarity_scenario(), noise=noise))
+    code = main(["run", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "maps dimension 2 to dimension 3; registers have dimension 2" in err
 
 
 def test_python_dash_m_entry_point():
