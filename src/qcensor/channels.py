@@ -172,10 +172,12 @@ def replacement_channel(
     return KrausChannel(tuple(ops), in_sig, sigma.dims)
 
 
-def depolarizing(d: int, strength: float) -> KrausChannel:
+def depolarizing(dims: Sequence[int] | int, strength: float) -> KrausChannel:
     """Mixes the input with the maximally mixed state: (1-s) rho + s I/d."""
     if not 0.0 <= strength <= 1.0:
         raise ValueError(f"strength must be in [0, 1], got {strength}")
+    sig = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
+    d = int(np.prod(sig))
     ops: list[np.ndarray] = []
     if strength < 1.0:
         ops.append(np.sqrt(1.0 - strength) * np.eye(d, dtype=complex))
@@ -185,7 +187,7 @@ def depolarizing(d: int, strength: float) -> KrausChannel:
                 k = np.zeros((d, d), dtype=complex)
                 k[i, j] = np.sqrt(strength / d)
                 ops.append(k)
-    return KrausChannel(tuple(ops), (d,), (d,))
+    return KrausChannel(tuple(ops), sig, sig)
 
 
 def amplitude_damping(gamma: float) -> KrausChannel:
@@ -302,8 +304,7 @@ class ChannelSpec:
                 raise ValueError("replacement spec needs params['state'] as a DensityOperator")
             return replacement_channel(target, in_dims=sig)
         if self.kind == "depolarizing":
-            ch = depolarizing(d, float(self.params["strength"]))
-            return KrausChannel(ch.kraus, sig, sig)
+            return depolarizing(sig, float(self.params["strength"]))
         if self.kind == "amplitude_damping":
             if d != 2:
                 raise ValueError("amplitude damping acts on a single qubit")

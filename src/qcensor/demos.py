@@ -98,23 +98,28 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     )
 
 
-def discord_breach_demo() -> CensorshipReport:
-    """Mixture of per-label classical-quantum states that passes censorship
-    intact and carries discord; the breach every conditional channel admits."""
-    zero = from_pure(np.array([1.0, 0.0]))
-    one = from_pure(np.array([0.0, 1.0]))
-    plus = from_pure(np.array([1.0, 1.0]) / np.sqrt(2))
-    component_0 = tensor(zero, zero)
-    component_1 = tensor(plus, one)
+def discord_breach_demo(
+    components: tuple[DensityOperator, DensityOperator] | None = None, weight: float = 0.5
+) -> CensorshipReport:
+    """Mixture weight * components[0] + (1 - weight) * components[1] of two
+    classical-quantum states (|00> and |+1> by default), each sent under its
+    own label, that passes censorship intact and carries discord; the breach
+    every conditional channel admits."""
+    if components is None:
+        zero = from_pure(np.array([1.0, 0.0]))
+        one = from_pure(np.array([0.0, 1.0]))
+        plus = from_pure(np.array([1.0, 1.0]) / np.sqrt(2))
+        components = (tensor(zero, zero), tensor(plus, one))
+    component_0, component_1 = components
     desc_0 = encode_description("discord", component_0)
     desc_1 = encode_description("discord", component_1)
 
     message_dim = 3  # two registered labels plus the reserved unknown index
     joint = np.zeros((message_dim * 4, message_dim * 4), dtype=complex)
-    for idx, comp in ((0, component_0), (1, component_1)):
+    for idx, (w, comp) in enumerate(((weight, component_0), (1 - weight, component_1))):
         proj = np.zeros((message_dim, message_dim), dtype=complex)
         proj[idx, idx] = 1.0
-        joint += 0.5 * np.kron(proj, comp.mat)
+        joint += w * np.kron(proj, comp.mat)
     strategy = SenderStrategy(
         "correlated",
         state=DensityOperator(joint, (message_dim, 2, 2)),

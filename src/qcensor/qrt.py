@@ -30,11 +30,9 @@ TOL_CHSH = 1e-9
 TOL_CLAIM_MATCH = 1e-8
 LABEL_DECIMALS = 9
 
-PAULIS = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
+DISCORD_MIN_STEP = 1e-12  # radians; the discord refinement stops below this step
+# sigma_0 = I, then the Pauli matrices X, Y, Z
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 
 @dataclass(frozen=True)
@@ -109,39 +107,41 @@ def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
 
 @dataclass(frozen=True)
 class DiscordOptions:
-    """Measurement-optimization controls for the two-qubit discord."""
+    """Measurement-optimization controls for the two-qubit discord.
+
+    The refinement stops once its step falls below ``DISCORD_MIN_STEP``;
+    ``refine_iters`` only caps it, and 0 keeps the grid minimum.
+    """
 
     grid_points: int = 60
-    refine_iters: int = 50
+    refine_iters: int = 1000
 
 
-def _entropy_psd(mat: np.ndarray) -> float:
-    # PSD-by-construction inputs only; clips eigenvalue noise.
-    w = np.clip(np.linalg.eigvalsh(mat), 0.0, None)
-    nz = w[w > 0]
-    return float(-(nz * np.log(nz)).sum()) if nz.size else 0.0
+def _pauli_coordinates(rho: DensityOperator) -> np.ndarray:
+    """R[i, j] = Tr(rho sigma_i (x) sigma_j) of a two-qubit state, real 4x4."""
+    return np.einsum("ikjl,aji,blk->ab", rho.mat.reshape(2, 2, 2, 2), PAULIS, PAULIS).real
 
 
-def _swap_qubits(mat: np.ndarray) -> np.ndarray:
-    return mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+def _shannon(p: np.ndarray) -> np.ndarray:
+    """Entropy in nats of the distributions along axis 0; clips rounding noise."""
+    p = np.clip(p, 0.0, None)
+    return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=0)
 
 
-def _measurement_ket(theta: float, phi: float) -> tuple[np.ndarray, np.ndarray]:
-    c, s = np.cos(theta / 2), np.sin(theta / 2)
-    v0 = np.array([c, np.exp(1j * phi) * s], dtype=complex)
-    v1 = np.array([-np.exp(-1j * phi) * s, c], dtype=complex)
-    return v0, v1
-
-
-def _conditional_entropy(tensor: np.ndarray, theta: float, phi: float) -> float:
-    # tensor: rho reshaped to (2, 2, 2, 2); projective measurement on factor 0.
-    total = 0.0
-    for ket in _measurement_ket(theta, phi):
-        block = np.einsum("i,ikjl,j->kl", ket.conj(), tensor, ket)
-        p = float(block.trace().real)
-        if p > 1e-12:
-            total += p * _entropy_psd(block / p)
-    return total
+def _conditional_entropies(coords: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    # Luo (PRA 77, 042303): measuring the first qubit along n gives outcomes
+    # with probability (1 +- a.n)/2 and second-qubit Bloch vectors
+    # (b +- T^T n)/(1 +- a.n), so each outcome's unnormalized block has
+    # eigenvalues (1 +- a.n +- |b +- T^T n|)/4. Sum_+- p S(block/p) is the
+    # entropy of those four eigenvalues minus that of the two outcomes.
+    n = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+    an = coords[1:, 0] @ n
+    tn = coords[1:, 1:].T @ n
+    b = coords[0, 1:, None]
+    outcome = np.stack((1 + an, 1 - an))
+    bloch = np.sqrt(np.stack((((b + tn) ** 2).sum(0), ((b - tn) ** 2).sum(0))))
+    eigs = np.concatenate((outcome + bloch, outcome - bloch)) / 4
+    return _shannon(eigs) - _shannon(outcome / 2)
 
 
 def discord(
@@ -153,45 +153,45 @@ def discord(
 
     Mutual information minus the best classical correlations extractable by
     a projective measurement on ``measured_side`` ("X" = first factor,
-    "Y" = second). Maximization runs a Bloch-angle grid followed by
-    coordinate-descent refinement with shrinking steps.
+    "Y" = second). The whole Bloch-angle grid is scored at once from the
+    state's Pauli coordinates; a refinement then moves to the best of the
+    four neighbouring angles, or halves its step when none improves.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"discord optimizer supports 2x2 systems only, got {rho.dims}")
     if measured_side not in ("X", "Y"):
         raise ValueError(f"measured_side must be 'X' or 'Y', got {measured_side!r}")
     opt = opt or DiscordOptions()
-    mat = rho.mat if measured_side == "X" else _swap_qubits(rho.mat)
-    tensor = mat.reshape(2, 2, 2, 2)
+    coords = _pauli_coordinates(rho)
+    if measured_side == "Y":
+        coords = coords.T
 
-    s_measured = _entropy_psd(linalg.partial_trace(mat, (2, 2), [0]))
-    s_joint = _entropy_psd(mat)
+    a = float(np.linalg.norm(coords[1:, 0]))
+    s_measured = _shannon(np.array([1 + a, 1 - a]) / 2)
+    s_joint = _shannon(np.linalg.eigvalsh(rho.mat))
 
-    thetas = np.linspace(0.0, np.pi, opt.grid_points)
-    phis = np.linspace(0.0, 2 * np.pi, opt.grid_points, endpoint=False)
-    best = np.inf
-    best_t, best_p = 0.0, 0.0
-    for t in thetas:
-        for p in phis:
-            val = _conditional_entropy(tensor, t, p)
-            if val < best:
-                best, best_t, best_p = val, t, p
+    g = opt.grid_points
+    thetas = np.repeat(np.linspace(0.0, np.pi, g), g)
+    phis = np.tile(np.linspace(0.0, 2 * np.pi, g, endpoint=False), g)
+    grid = _conditional_entropies(coords, thetas, phis)
+    k = int(np.argmin(grid))
+    best, angles = grid[k], np.array([thetas[k], phis[k]])
 
-    step_t = np.pi / max(opt.grid_points, 1)
-    step_p = 2 * np.pi / max(opt.grid_points, 1)
+    step = np.array([np.pi, 2 * np.pi]) / max(g, 1)
+    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
     for _ in range(opt.refine_iters):
-        improved = False
-        for dt, dp in ((step_t, 0.0), (-step_t, 0.0), (0.0, step_p), (0.0, -step_p)):
-            val = _conditional_entropy(tensor, best_t + dt, best_p + dp)
-            if val < best - 1e-15:
-                best, best_t, best_p = val, best_t + dt, best_p + dp
-                improved = True
-        if not improved:
-            step_t /= 2
-            step_p /= 2
+        if step[0] < DISCORD_MIN_STEP:
+            break
+        trial = angles + moves * step
+        vals = _conditional_entropies(coords, trial[:, 0], trial[:, 1])
+        j = int(np.argmin(vals))
+        if vals[j] < best - 1e-15:
+            best, angles = vals[j], trial[j]
+        else:
+            step = step / 2
 
     # delta = S(measured marginal) - S(joint) + min conditional entropy
-    return max(s_measured - s_joint + best, 0.0)
+    return max(float(s_measured - s_joint + best), 0.0)
 
 
 def is_classical_quantum(
@@ -233,10 +233,7 @@ def chsh_parameter(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"CHSH parameter needs a two-qubit state, got dims {rho.dims}")
-    t = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            t[i, j] = float(np.trace(rho.mat @ np.kron(PAULIS[i], PAULIS[j])).real)
+    t = _pauli_coordinates(rho)[1:, 1:]
     w = np.linalg.eigvalsh(t.T @ t)
     return float(w[-1] + w[-2])
 

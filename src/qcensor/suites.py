@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import qrt
+from . import linalg, qrt
 from .channels import (
     amplitude_damping,
     dephasing_channel,
@@ -124,22 +124,55 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
     return result
 
 
+def _random_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
+    v = random_pure_vector(2, rng)
+    return np.array([[v[0], -v[1].conj()], [v[1], v[0].conj()]])
+
+
+def _luo_discord(c: tuple[float, float, float]) -> float:
+    """Discord in nats of the Bell-diagonal state (II + sum_k c_k s_k s_k)/4
+    (Luo, PRA 77, 042303, 2008): ln 2 - S(rho) + h((1 + max |c_k|)/2), since
+    measuring along the axis of the largest |c_k| is optimal."""
+    c1, c2, c3 = c
+    lam = np.array([1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3])
+    top = max(abs(x) for x in c)
+    entropy = linalg.von_neumann_entropy
+    return float(np.log(2) - entropy(np.diag(lam) / 4) + entropy(np.diag([1 + top, 1 - top]) / 2))
+
+
 def suite_discord_breach(samples: int = 1, seed: int = 0) -> SuiteResult:
-    """The censorship-defeating mixture of classical-quantum states: the suite
-    passes when the breach is detected with a positive discord witness."""
+    """Mixtures w (II + a ZZ)/4 + (1 - w) (II + b XX)/4 of two classical-quantum
+    states under one random local unitary, each component sent under its own
+    label: the suite passes when every mixture breaches with a discord witness
+    above 1e-3 that matches Luo's closed form. ``discord_witness_nats`` is the
+    smallest witness over the samples."""
+    rng = make_rng(seed)
     result = SuiteResult("discord_breach", True, samples, seed)
-    report = discord_breach_demo()
-    witness = report.verdicts["discord"].witness_value
-    result.max_defects["discord_witness_nats"] = witness
-    if not report.breach:
+    zz = np.kron(qrt.PAULIS[3], qrt.PAULIS[3])
+    xx = np.kron(qrt.PAULIS[1], qrt.PAULIS[1])
+    smallest = np.inf
+    for _ in range(samples):
+        w = rng.uniform(0.25, 0.75)
+        a, b = (rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.9) for _ in range(2))
+        u = np.kron(_random_qubit_unitary(rng), _random_qubit_unitary(rng))
+        components = tuple(
+            DensityOperator(u @ (np.eye(4) + c * m) @ u.conj().T / 4, (2, 2))
+            for c, m in ((a, zz), (b, xx))
+        )
+        report = discord_breach_demo(components, w)
+        witness = report.verdicts["discord"].witness_value
+        smallest = min(smallest, witness)
+        if not report.breach:
+            result.passed = False
+            result.failures.append("breach flag not set on the mixed-description scenario")
+        exact = _luo_discord(((1 - w) * b, 0.0, w * a))
+        result.record("luo_discord_error", abs(witness - exact), 1e-9)
+        for key in ("component_discord_0", "component_discord_1"):
+            result.record(key, report.extras[key], 1e-6)
+    result.max_defects["discord_witness_nats"] = smallest
+    if smallest <= 1e-3:
         result.passed = False
-        result.failures.append("breach flag not set on the mixed-description scenario")
-    if witness <= 1e-3:
-        result.passed = False
-        result.failures.append(f"discord witness {witness:.3e} not above 1e-3")
-    for key in ("component_discord_0", "component_discord_1"):
-        value = report.extras[key]
-        result.record(key, value, 1e-6)
+        result.failures.append(f"discord witness {smallest:.3e} not above 1e-3")
     return result
 
 

@@ -1,8 +1,10 @@
-"""The benchmark's span tracer still finds the channel layers it reports.
+"""The benchmark's span tracer still finds the channel and discord layers it
+reports.
 
 ``bench/spans.py`` wraps qcensor's functions and methods by name and counts
 Kraus operators on every ``KrausChannel`` it sees; a refactor that renames or
-moves one of them would leave ``bench/run.py --trace 1`` reporting zeros.
+moves one of them, or calls it by another name, would leave
+``bench/run.py --trace 1`` reporting zeros.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ import importlib.util
 from pathlib import Path
 
 import qcensor.cli
-from qcensor.cli import EXIT_OK
+from qcensor.cli import EXIT_BREACH, EXIT_OK
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -23,17 +25,21 @@ def _load_spans():
     return module
 
 
-def test_tracer_sees_the_channel_layers(capsys):
+def _traced_totals(argv: list[str], capsys) -> tuple[int, dict]:
     tracer = _load_spans().Tracer()
     tracer.install()
     try:
-        code = qcensor.cli.main(
-            ["verify", "--suite", "channel_axioms", "--samples", "5", "--seed", "1"]
-        )
+        code = qcensor.cli.main(argv)
     finally:
         tracer.uninstall()
     capsys.readouterr()
-    totals = tracer.totals()
+    return code, tracer.totals()
+
+
+def test_tracer_sees_the_channel_layers(capsys):
+    code, totals = _traced_totals(
+        ["verify", "--suite", "channel_axioms", "--samples", "5", "--seed", "1"], capsys
+    )
     assert code == EXIT_OK
     for metric in (
         "channels.KrausChannel.calls",
@@ -42,3 +48,9 @@ def test_tracer_sees_the_channel_layers(capsys):
         "channels.replacement_channel.calls",
     ):
         assert totals.get(metric, 0) > 0, metric
+
+
+def test_tracer_sees_the_discord_layer(capsys):
+    code, totals = _traced_totals(["demo", "discord_breach"], capsys)
+    assert code == EXIT_BREACH
+    assert totals.get("qrt.discord.calls", 0) > 0

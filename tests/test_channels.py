@@ -328,3 +328,18 @@ def test_channel_spec_builds_and_rejects():
         ChannelSpec("amplitude_damping", {"gamma": 0.1}).build((2, 2))
     with pytest.raises(ValueError):
         ChannelSpec("bogus").build(2)
+
+
+def test_depolarizing_spec_builds_one_channel(monkeypatch):
+    built = []
+    post_init = KrausChannel.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(KrausChannel, "__post_init__", counted)
+    ch = ChannelSpec("depolarizing", {"strength": 0.25}).build((2, 2))
+    assert built == [ch]
+    assert ch.in_dims == ch.out_dims == (2, 2)
+    assert np.abs(ch.transfer - depolarizing(4, 0.25).transfer).max() == 0.0

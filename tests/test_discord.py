@@ -1,0 +1,112 @@
+"""The batched discord and CHSH, read from the state's Pauli coordinates,
+against the point-by-point discord of ``dense_reference`` and closed forms.
+
+Closed forms: Luo's discord of Bell-diagonal states (PRA 77, 042303, 2008),
+which local unitaries leave unchanged; the entanglement entropy S(rho_A) for
+pure states; zero on classical-quantum and product states.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from dense_reference import dense_discord
+from qcensor import linalg
+from qcensor.qrt import DiscordOptions, chsh_parameter, discord
+from qcensor.states import DensityOperator, random_density, random_pure_vector
+
+SIDES = st.sampled_from(["X", "Y"])
+SEEDS = st.integers(0, 2**32 - 1)
+PAULI_XYZ = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def _unitary(rng: np.random.Generator, d: int = 2) -> np.ndarray:
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _local(rng: np.random.Generator, mat: np.ndarray) -> DensityOperator:
+    u = np.kron(_unitary(rng), _unitary(rng))
+    return DensityOperator(u @ mat @ u.conj().T, (2, 2))
+
+
+def _binary_entropy(p: float) -> float:
+    return -sum(x * np.log(x) for x in (p, 1 - p) if x > 0)
+
+
+def _luo(c: np.ndarray) -> float:
+    # I(rho) - J(rho) with maximally mixed marginals: 2 ln 2 - S(rho) minus
+    # ln 2 - h((1 + max |c_k|)/2)
+    s, (c1, c2, c3) = 0.0, c
+    for lam in (1 - c1 - c2 - c3, 1 - c1 + c2 + c3, 1 + c1 - c2 + c3, 1 + c1 + c2 - c3):
+        s -= lam / 4 * np.log(lam / 4) if lam > 0 else 0.0
+    return np.log(2) - s + _binary_entropy((1 + np.abs(c).max()) / 2)
+
+
+@given(SEEDS, st.integers(1, 4), SIDES)
+@settings(max_examples=12)
+def test_discord_at_most_dense_discord(seed, rank, side):
+    rho = random_density(4, rank, seed, dims=(2, 2))
+    value = discord(rho, side)
+    assert value <= dense_discord(rho, side) + 1e-12
+    # the same angles give the same grid minimum, so nothing is underestimated
+    grid_only = discord(rho, side, DiscordOptions(grid_points=8, refine_iters=0))
+    assert abs(grid_only - dense_discord(rho, side, grid_points=8, refine_iters=0)) < 1e-12
+    # the step-size rule, not the iteration cap, ends the refinement
+    assert discord(rho, side, DiscordOptions(refine_iters=10**6)) == value
+
+
+@given(st.lists(st.floats(-1, 1), min_size=3, max_size=3), SEEDS, SIDES)
+@settings(max_examples=60)
+def test_discord_matches_luo_on_bell_diagonal_states(c, seed, side):
+    c = np.array(c)
+    mat = np.eye(4, dtype=complex)
+    for ck, p in zip(c, PAULI_XYZ):
+        mat = mat + ck * np.kron(p, p)
+    assume(np.linalg.eigvalsh(mat).min() >= 0)
+    rho = _local(np.random.default_rng(seed), mat / 4)
+    assert abs(discord(rho, side) - _luo(c)) < 1e-9
+
+
+@given(SEEDS, SIDES)
+@settings(max_examples=40)
+def test_discord_of_pure_state_is_entanglement_entropy(seed, side):
+    vec = random_pure_vector(4, seed)
+    mat = np.outer(vec, vec.conj())
+    s_a = linalg.von_neumann_entropy(linalg.partial_trace(mat, (2, 2), [0]))
+    assert abs(discord(DensityOperator(mat, (2, 2)), side) - s_a) < 1e-9
+
+
+@given(SEEDS, st.floats(0, 1), SIDES)
+@settings(max_examples=60)
+def test_discord_vanishes_on_classical_quantum_and_product_states(seed, q, side):
+    rng = np.random.default_rng(seed)
+    basis = _unitary(rng)
+    omegas = [random_density(2, 2, rng).mat for _ in range(2)]
+    # classical on the measured side, in a random basis
+    cq = sum(
+        w * np.kron(np.outer(basis[:, k], basis[:, k].conj()), omegas[k])
+        for k, w in enumerate((q, 1 - q))
+    )
+    if side == "Y":
+        cq = cq.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    product = np.kron(random_density(2, 2, rng).mat, random_density(2, 2, rng).mat)
+    for mat in (cq, product):
+        assert discord(DensityOperator(mat, (2, 2)), side) <= 1e-12
+
+
+@given(SEEDS, st.integers(1, 4))
+@settings(max_examples=40)
+def test_chsh_parameter_matches_pauli_traces(seed, rank):
+    rho = random_density(4, rank, seed, dims=(2, 2))
+    t = np.array(
+        [[np.trace(rho.mat @ np.kron(a, b)).real for b in PAULI_XYZ] for a in PAULI_XYZ]
+    )
+    w = np.linalg.eigvalsh(t.T @ t)
+    assert abs(chsh_parameter(rho) - (w[-1] + w[-2])) < 1e-12

@@ -35,6 +35,18 @@ def test_discord_breach_suite_detects_breach():
     assert result.max_defects["discord_witness_nats"] > 1e-3
     assert result.max_defects["component_discord_0"] <= 1e-6
     assert result.max_defects["component_discord_1"] <= 1e-6
+    assert result.max_defects["luo_discord_error"] <= 1e-9
+
+
+def test_discord_breach_suite_samples_from_seed():
+    a = run_suite("discord_breach", samples=12, seed=5)
+    assert a.passed and not a.failures
+    assert a.max_defects["luo_discord_error"] <= 1e-9
+    # the first draw is shared, so the smallest witness over more samples can only fall
+    first = run_suite("discord_breach", samples=1, seed=5)
+    assert a.max_defects["discord_witness_nats"] <= first.max_defects["discord_witness_nats"]
+    assert run_suite("discord_breach", samples=12, seed=5).max_defects == a.max_defects
+    assert run_suite("discord_breach", samples=12, seed=6).max_defects != a.max_defects
 
 
 def test_activation_suite():
