@@ -39,9 +39,17 @@ class KrausChannel:
     in_dims: DimSignature
     out_dims: DimSignature
     transfer: np.ndarray = field(init=False, repr=False)
+    in_dim: int = field(init=False, repr=False)
+    out_dim: int = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        ops = tuple(linalg.as_complex_matrix(k) for k in self.kraus)
+        try:  # equal-shape operators: one coercion and one finiteness check
+            stack = np.asarray(self.kraus, dtype=complex)
+            ops = tuple(stack) if stack.ndim == 3 and np.isfinite(stack).all() else None
+        except (TypeError, ValueError):
+            ops = None
+        if ops is None:  # one by one, so that the error names the fault
+            ops = tuple(linalg.as_complex_matrix(k) for k in self.kraus)
         if not ops:
             raise ValueError("a channel needs at least one Kraus operator")
         d_in = int(np.prod(self.in_dims))
@@ -63,14 +71,8 @@ class KrausChannel:
         object.__setattr__(self, "in_dims", linalg.check_signature(self.in_dims, d_in))
         object.__setattr__(self, "out_dims", linalg.check_signature(self.out_dims, d_out))
         object.__setattr__(self, "transfer", transfer)
-
-    @property
-    def in_dim(self) -> int:
-        return int(np.prod(self.in_dims))
-
-    @property
-    def out_dim(self) -> int:
-        return int(np.prod(self.out_dims))
+        object.__setattr__(self, "in_dim", d_in)
+        object.__setattr__(self, "out_dim", d_out)
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         """Linear action on an arbitrary (not necessarily normalized) operator."""

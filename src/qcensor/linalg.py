@@ -6,6 +6,7 @@ shared mutable state, so they are safe to call concurrently.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,19 +27,19 @@ def as_complex_matrix(mat: np.ndarray) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
     return arr
 
 
 def check_signature(dims: Sequence[int], matrix_dim: int) -> DimSignature:
     """Validate a subsystem-dimension signature against a matrix dimension."""
-    sig = tuple(int(d) for d in dims)
+    sig = tuple(map(int, dims))
     if not sig:
         raise ValueError("dimension signature must not be empty")
-    if any(d < 2 for d in sig):
+    if min(sig) < 2:
         raise ValueError(f"subsystem dimensions must be >= 2, got {sig}")
-    if int(np.prod(sig)) != matrix_dim:
+    if math.prod(sig) != matrix_dim:
         raise ValueError(f"signature {sig} does not match matrix dimension {matrix_dim}")
     return sig
 
@@ -50,10 +51,13 @@ def _square(mat: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _defect(arr: np.ndarray) -> float:
+    return float(np.abs(arr - arr.conj().T).max())
+
+
 def hermiticity_defect(mat: np.ndarray) -> float:
     """Max-entry distance between a matrix and its conjugate transpose."""
-    arr = _square(mat)
-    return float(np.abs(arr - arr.conj().T).max())
+    return _defect(_square(mat))
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,7 +97,7 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     col_ids = [k + n if k in kept else k for k in range(n)]
     out_ids = kept + [k + n for k in kept]
     reduced = np.einsum(tensor, row_ids + col_ids, out_ids)
-    d_keep = int(np.prod([sig[k] for k in kept])) if kept else 1
+    d_keep = math.prod(sig[k] for k in kept)
     return reduced.reshape(d_keep, d_keep)
 
 
@@ -117,10 +121,10 @@ def apply_transfer(
     if not 0 <= start < stop <= len(sig):
         raise IndexError(f"factor range {start}:{stop} out of range for {len(sig)} factors")
     out_sig = tuple(int(d) for d in out_dims)
-    left = int(np.prod(sig[:start]))
-    d_in = int(np.prod(sig[start:stop]))
-    right = int(np.prod(sig[stop:]))
-    d_out = int(np.prod(out_sig))
+    left = math.prod(sig[:start])
+    d_in = math.prod(sig[start:stop])
+    right = math.prod(sig[stop:])
+    d_out = math.prod(out_sig)
     t = np.asarray(transfer, dtype=complex)
     if t.shape != (d_out * d_out, d_in * d_in):
         raise ValueError(f"transfer shape {t.shape} != ({d_out * d_out}, {d_in * d_in})")
@@ -169,7 +173,7 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
     identical output.
     """
     arr = _square(mat)
-    defect = float(np.abs(arr - arr.conj().T).max())
+    defect = _defect(arr)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
@@ -194,7 +198,7 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
 def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     arr = _square(mat)
-    if hermiticity_defect(arr) > tol:
+    if _defect(arr) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
 
@@ -211,7 +215,7 @@ def von_neumann_entropy(rho: np.ndarray, tol: float = TOL_PSD) -> float:
     trace within tolerance); anything else raises ValueError.
     """
     arr = _square(rho)
-    if hermiticity_defect(arr) > TOL_HERM:
+    if _defect(arr) > TOL_HERM:
         raise ValueError("not a density operator: not Hermitian")
     w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
     if w.min() < -tol:

@@ -371,11 +371,13 @@ def _normalize_ensemble(
         w = float(weight)
         if w < -1e-12:
             raise ValueError(f"ensemble weight {w} is negative")
+        if not factors:
+            raise ValueError("ensemble term has no factors")
         vecs = []
         for f in factors:
             vec = np.asarray(f, dtype=complex).reshape(-1)
             norm = float(np.linalg.norm(vec))
-            if abs(norm - 1.0) > 1e-6:
+            if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
                 raise ValueError("ensemble amplitudes are not normalized")
             vecs.append(linalg._canonicalize_column(vec / norm))
         terms.append((max(w, 0.0), tuple(vecs)))

@@ -27,7 +27,7 @@ from .states import DensityOperator
 def _number(value: Any, cast, what: str):
     try:
         return cast(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what} must be a number, got {value!r}") from exc
 
 
@@ -49,10 +49,12 @@ def matrix_from_json(obj: Any, what: str = "matrix") -> np.ndarray:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what} entries must be numbers: {exc}") from exc
     if re.shape != im.shape or re.ndim != 2:
         raise ScenarioError(f"{what} real and imaginary tables must be equal-shape matrices")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ScenarioError(f"{what} entries must be finite")
     return re + 1j * im
 
 
@@ -74,10 +76,13 @@ def state_from_json(obj: Any, what: str = "state") -> DensityOperator:
 
 
 def _amplitudes_from_json(entries: Any, what: str) -> np.ndarray:
-    try:
-        pairs = [(float(p[0]), float(p[1])) for p in entries]
-    except (TypeError, ValueError, IndexError) as exc:
-        raise ScenarioError(f"{what} amplitudes must be [re, im] pairs: {exc}") from exc
+    if not isinstance(entries, list) or not entries or any(
+        not isinstance(p, list) or len(p) != 2 for p in entries
+    ):
+        raise ScenarioError(f"{what} amplitudes must be a non-empty list of [re, im] pairs")
+    pairs = [[_number(x, float, f"{what} amplitude") for x in p] for p in entries]
+    if not np.isfinite(pairs).all():
+        raise ScenarioError(f"{what} amplitudes must be finite")
     return np.array([re + 1j * im for re, im in pairs], dtype=complex)
 
 
@@ -88,6 +93,8 @@ def ensemble_from_json(obj: Any) -> list:
     for pos, term in enumerate(obj):
         if not isinstance(term, dict) or "weight" not in term or "factors" not in term:
             raise ScenarioError(f"ensemble term {pos} needs 'weight' and 'factors'")
+        if not isinstance(term["factors"], list) or not term["factors"]:
+            raise ScenarioError(f"ensemble term {pos} 'factors' must be a non-empty list")
         factors = tuple(
             _amplitudes_from_json(f, f"ensemble term {pos}") for f in term["factors"]
         )

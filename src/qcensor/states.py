@@ -68,11 +68,12 @@ def validate(mat: np.ndarray) -> StateReport:
     arr = linalg.as_complex_matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got {arr.shape}")
-    defect = linalg.hermiticity_defect(arr)
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
+    adj = arr.conj().T
+    defect = float(np.abs(arr - adj).max())
+    w = np.linalg.eigvalsh((arr + adj) / 2)  # ascending
     return StateReport(
         hermiticity_defect=defect,
-        min_eigenvalue=float(w.min()),
+        min_eigenvalue=float(w[0]),
         trace_deviation=abs(complex(arr.trace()) - 1.0),
     )
 
@@ -85,9 +86,9 @@ class DensityOperator:
     dims: DimSignature
 
     def __post_init__(self) -> None:
-        arr = linalg.as_complex_matrix(self.mat)
-        sig = linalg.check_signature(self.dims, arr.shape[0] if arr.ndim == 2 else -1)
-        report = validate(arr)
+        report = validate(self.mat)  # the one checked coercion
+        arr = np.array(self.mat, dtype=complex, order="C")
+        sig = linalg.check_signature(self.dims, arr.shape[0])
         if not report.is_valid:
             raise ValueError(
                 "invalid density operator: "
@@ -95,7 +96,6 @@ class DensityOperator:
                 f"min eigenvalue {report.min_eigenvalue:.3e}, "
                 f"trace deviation {report.trace_deviation:.3e}"
             )
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
         object.__setattr__(self, "dims", sig)
@@ -119,7 +119,7 @@ class PureState:
 
     def __post_init__(self) -> None:
         arr = np.asarray(self.vec, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        if not np.isfinite(arr).all():
             raise ValueError("amplitudes contain non-finite entries")
         sig = linalg.check_signature(self.dims, arr.size)
         norm = float(np.linalg.norm(arr))

@@ -14,6 +14,11 @@ message+system registers, lifts every link-noise Kraus operator to that
 joint, and sums the censored blocks over every combination of message
 outcomes with Kronecker-lifted branch Kraus operators. Its cost grows like
 (m*d)^(3N) for N pairs, so use it only on joints a few hundred wide at most.
+
+The validation oracles coerce and check a matrix at every step, as qcensor
+did before each public entry coerced once: a finiteness check per part, a
+re-coercion inside the Hermiticity defect, the signature checked before
+squareness, and each Kraus operator coerced on its own.
 """
 
 from __future__ import annotations
@@ -227,3 +232,75 @@ def dense_discord(
             step_t /= 2
             step_p /= 2
     return max(s_measured - s_joint + best, 0.0)
+
+
+def reference_as_complex_matrix(mat) -> np.ndarray:
+    arr = np.asarray(mat, dtype=complex)
+    if arr.ndim != 2:
+        raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
+    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+        raise ValueError("matrix contains non-finite entries")
+    return arr
+
+
+def reference_hermiticity_defect(mat) -> float:
+    arr = reference_as_complex_matrix(mat)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    return float(np.abs(arr - arr.conj().T).max())
+
+
+def reference_validate(mat) -> tuple[float, float, float]:
+    """(hermiticity defect, minimum eigenvalue, trace deviation)."""
+    arr = reference_as_complex_matrix(mat)
+    if arr.shape[0] != arr.shape[1]:
+        raise ValueError(f"expected a square matrix, got {arr.shape}")
+    defect = reference_hermiticity_defect(arr)
+    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
+    return defect, float(w.min()), abs(complex(arr.trace()) - 1.0)
+
+
+def reference_check_signature(dims, matrix_dim: int) -> tuple[int, ...]:
+    sig = tuple(int(d) for d in dims)
+    if not sig:
+        raise ValueError("dimension signature must not be empty")
+    if any(d < 2 for d in sig):
+        raise ValueError(f"subsystem dimensions must be >= 2, got {sig}")
+    if int(np.prod(sig)) != matrix_dim:
+        raise ValueError(f"signature {sig} does not match matrix dimension {matrix_dim}")
+    return sig
+
+
+def reference_density_operator(mat, dims) -> tuple[np.ndarray, tuple[int, ...]]:
+    """The stored matrix and signature of ``DensityOperator(mat, dims)``."""
+    arr = reference_as_complex_matrix(mat)
+    sig = reference_check_signature(dims, arr.shape[0])
+    defect, low, dev = reference_validate(arr)
+    if not (defect <= linalg.TOL_HERM and low >= -linalg.TOL_PSD and dev <= 1e-9):
+        raise ValueError(
+            "invalid density operator: "
+            f"hermiticity defect {defect:.3e}, min eigenvalue {low:.3e}, trace deviation {dev:.3e}"
+        )
+    return arr.copy(), sig
+
+
+def reference_kraus_transfer(kraus, in_dims, out_dims) -> np.ndarray:
+    """The transfer matrix ``KrausChannel(kraus, in_dims, out_dims)`` builds."""
+    ops = tuple(reference_as_complex_matrix(k) for k in kraus)
+    if not ops:
+        raise ValueError("a channel needs at least one Kraus operator")
+    d_in = int(np.prod(in_dims))
+    d_out = int(np.prod(out_dims))
+    for k in ops:
+        if k.shape != (d_out, d_in):
+            raise ValueError(f"Kraus operator shape {k.shape} != ({d_out}, {d_in})")
+    total = sum(k.conj().T @ k for k in ops)
+    defect = float(np.abs(total - np.eye(d_in)).max())
+    if defect > 1e-9:
+        raise ValueError(f"Kraus operators are not trace preserving (defect {defect:.3e})")
+    transfer = np.zeros((d_out, d_out, d_in, d_in), dtype=complex)
+    for k in ops:
+        transfer += k[:, None, :, None] * k.conj()[None, :, None, :]
+    reference_check_signature(in_dims, d_in)
+    reference_check_signature(out_dims, d_out)
+    return transfer.reshape(d_out * d_out, d_in * d_in)

@@ -104,6 +104,13 @@ def test_encode_entanglement_payload_amplitudes():
     assert linalg.hs_distance(desc.state.mat, sigma.mat) < 1e-12
 
 
+def test_encode_entanglement_rejects_nan_amplitudes_and_empty_terms():
+    with pytest.raises(ValueError, match="not normalized"):
+        encode_description("entanglement", ensemble=[(1.0, (np.array([np.nan, 0.0]), MINUS))])
+    with pytest.raises(ValueError, match="no factors"):
+        encode_description("entanglement", ensemble=[(1.0, ())])
+
+
 def test_encode_entanglement_requires_ensemble():
     with pytest.raises(ValueError):
         encode_description("entanglement", tensor(from_pure(PLUS), from_pure(MINUS)))

@@ -1,12 +1,18 @@
+import contextlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcensor
 from qcensor.censorship import MAX_RECEIVER_DIM
@@ -97,6 +103,16 @@ def test_run_malformed_json_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert main(["run", "--scenario", str(path)]) == EXIT_USAGE
+
+
+@pytest.mark.parametrize(
+    "raw", [b"\xff\xfe{}", b'{"seed": ' + b"9" * 5000 + b"}"], ids=["not-utf8", "huge-integer"]
+)
+def test_run_unreadable_json_exit_two(raw, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(raw)
+    assert main(["run", "--scenario", str(path)]) == EXIT_USAGE
+    assert capsys.readouterr().err.startswith("could not parse scenario:")
 
 
 def test_run_invalid_scenario_exit_two(tmp_path):
@@ -344,6 +360,90 @@ def test_malformed_scenario_exits_two_without_traceback(scenario, tmp_path, caps
     assert code == EXIT_USAGE
     assert err.startswith("invalid scenario:")
     assert "Traceback" not in err
+
+
+def _ensemble_term(factors):
+    return _with(_entanglement_honest(), senders__0__ensemble=[{"weight": 1.0, "factors": factors}])
+
+
+@pytest.mark.parametrize(
+    "scenario, message",
+    [
+        (_ensemble_term([]), "'factors' must be a non-empty list"),
+        (_ensemble_term([[[1, 0, 9], [0, 0]], [[0, 0], [1, 0]]]), "list of [re, im] pairs"),
+        (_ensemble_term([[["nan", 0], [0, 0]], [[0, 0], [1, 0]]]), "amplitudes must be finite"),
+    ],
+    ids=["no-factors", "long-amplitude-pair", "nan-amplitude"],
+)
+def test_malformed_ensemble_exits_two_on_one_line(scenario, message, tmp_path, capsys):
+    path = _write(tmp_path, scenario)
+    code = main(["run", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith("invalid scenario: ensemble term 0") and message in err
+    assert err.count("\n") == 1 and "Warning" not in err
+
+
+# Mutations of valid scenarios for the exit-code fuzz: each replaces, drops,
+# shortens, lengthens or empties one node of the scenario tree.
+_WRONG_VALUES = ("x", None, True, {}, 3, -1, 2.5, [[1]])
+_NON_FINITE = (math.nan, math.inf, -math.inf, "nan", "-inf")
+_FUZZ_BASES = (
+    _honest_imaginarity_scenario(),
+    _entanglement_honest(),
+    _locality_senders(2),  # a 16-wide receiver; one mutation adds at most one sender
+)
+
+
+def _nodes(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    else:
+        children = enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _nodes(child, path + (key,))
+
+
+@st.composite
+def _mutated_scenarios(draw):
+    scenario = json.loads(json.dumps(draw(st.sampled_from(_FUZZ_BASES))))
+    for _ in range(draw(st.integers(1, 2))):
+        path = draw(st.sampled_from(list(_nodes(scenario))[1:]))
+        parent = scenario
+        for key in path[:-1]:
+            parent = parent[key]
+        key, node = path[-1], parent[path[-1]]
+        kind = draw(st.sampled_from(("wrong", "non_finite", "drop", "short", "long", "empty")))
+        if kind == "wrong":
+            parent[key] = draw(st.sampled_from(_WRONG_VALUES))
+        elif kind == "non_finite":
+            parent[key] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == "drop":
+            del parent[key]
+        elif kind == "short" and isinstance(node, list) and node:
+            node.pop()
+        elif kind == "long" and isinstance(node, list) and node:
+            node.append(json.loads(json.dumps(node[-1])))
+        else:
+            parent[key] = []
+    return scenario
+
+
+@given(_mutated_scenarios())
+@settings(max_examples=300)
+def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, scenario):
+    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
+    path.write_text(json.dumps(scenario))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path)])
+    stderr = err.getvalue()
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_BREACH), stderr
+    assert "Traceback" not in stderr and "Warning" not in stderr
+    assert not caught, [str(w.message) for w in caught]
 
 
 def test_noise_of_wrong_width_names_both_dimensions(tmp_path, capsys):
