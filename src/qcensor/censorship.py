@@ -355,7 +355,9 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     The conditional channel and the link noise are products of one map per
     message+system pair, so each strategy's block is censored on its own and
     the receiver is the Kronecker product of the small outputs; the joint
-    sender state is never built.
+    sender state is never built. The judges read the censored blocks, so
+    cuts and register marginals cost what the blocks cost; the dense
+    receiver is built for the report.
     """
     try:
         theory = qrt.get_theory(scenario.theory)
@@ -384,11 +386,14 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
         [channel.branch_for_index(i) for i in range(channel.message_dim)], noise_ch
     )
     outputs = []
+    blocks: list[qrt.Block] = []
     distances: list[dict] | None = None if noise_ch is None else []
     sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
         block, dims, spans = _sender_block(pos, st, descs, channel)
         outputs.append(_censor_pairs(block, dims, transfer, spans, sys))
+        hermitized = (outputs[-1] + outputs[-1].conj().T) / 2
+        blocks.append((DensityOperator(hermitized, sys * spans), spans))
         if distances is not None and st.kind == "honest":
             sent = st.state if st.state is not None else descs[0].state
             distances.append(
@@ -399,13 +404,12 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
                 }
             )
         sender_pos += spans
-    mat = linalg.kron_all(outputs)
-    receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
-
-    if theory.judge is None:
-        verdicts, notes = {theory.name: theory.free(receiver)}, ()
+    if len(blocks) == 1:  # a one-block product is the block, already checked
+        receiver = blocks[0][0]
     else:
-        verdicts, notes = theory.judge(receiver, n_senders)
+        mat = linalg.kron_all(outputs)
+        receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
+    verdicts, notes = theory.judge(receiver, blocks)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive
     return CensorshipReport(

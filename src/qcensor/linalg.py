@@ -48,6 +48,8 @@ def _square(mat: np.ndarray) -> np.ndarray:
     arr = as_complex_matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
     return arr
 
 
@@ -195,12 +197,18 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
     return w, v
 
 
-def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+def extreme_eigenvalues(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[float, float]:
+    """Smallest and largest eigenvalue of a Hermitian matrix."""
     arr = _square(mat)
     if _defect(arr) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    return float(np.linalg.eigvalsh((arr + arr.conj().T) / 2).min())
+    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)  # ascending
+    return float(w[0]), float(w[-1])
+
+
+def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
+    return extreme_eigenvalues(mat, tol)[0]
 
 
 def is_positive_semidefinite(mat: np.ndarray, tol: float = TOL_PSD) -> bool:

@@ -12,6 +12,7 @@ states, classical on X.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -61,6 +62,14 @@ def is_free_imaginarity(rho: DensityOperator, tol: float = TOL_DIAG) -> Resource
     return ResourceVerdict(witness <= tol, witness)
 
 
+def _cut_verdict(witness: float, d_side: int, d_rest: int, tol: float) -> ResourceVerdict:
+    # PPT is sufficient for separability only on 2x2 and 2x3 splits; a
+    # negative witness is decisive in any dimension.
+    ppt = witness >= -tol
+    decisive = (not ppt) or sorted((d_side, d_rest)) in ([2, 2], [2, 3])
+    return ResourceVerdict(ppt, witness, decisive)
+
+
 def is_free_entanglement(
     rho: DensityOperator, cut: Sequence[int] = (0,), tol: float = TOL_PPT
 ) -> ResourceVerdict:
@@ -76,26 +85,53 @@ def is_free_entanglement(
     if not side or len(side) >= n or any(k < 0 or k >= n for k in side):
         raise ValueError(f"cut {cut} is not a nontrivial bipartition of {n} factors")
     pt = linalg.partial_transpose(rho.mat, rho.dims, side)
-    witness = linalg.min_eigenvalue(pt)
-    d_side = int(np.prod([rho.dims[k] for k in side]))
-    d_rest = rho.dim // d_side
-    ppt = witness >= -tol
-    decisive = (not ppt) or sorted((d_side, d_rest)) in ([2, 2], [2, 3])
-    return ResourceVerdict(ppt, witness, decisive)
+    d_side = math.prod(rho.dims[k] for k in side)
+    return _cut_verdict(linalg.min_eigenvalue(pt), d_side, rho.dim // d_side, tol)
 
 
-def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
-    """PPT across every nontrivial bipartition; the worst cut sets the verdict."""
-    n = len(rho.dims)
+def ppt_all_cuts(
+    factors: DensityOperator | Sequence[DensityOperator], tol: float = TOL_PPT
+) -> ResourceVerdict:
+    """PPT across every nontrivial bipartition of a product of states; the
+    worst cut sets the verdict. A single state is a one-factor product.
+
+    (A (x) B)^G = A^G (x) B^G for the partial transpose G on a cut, so each
+    factor is transposed only on the cut induced on its own tensor factors,
+    and the product's smallest eigenvalue is the smallest product of the
+    factors' extreme eigenvalues there (Peres, PRL 77, 1413, 1996). A cut and
+    its complement give transposes with one spectrum, so they share a cache
+    entry; the empty and the full induced cut give the factor's own spectrum.
+    """
+    rhos = [factors] if isinstance(factors, DensityOperator) else list(factors)
+    dims = tuple(d for rho in rhos for d in rho.dims)
+    n = len(dims)
     if n < 2:
         raise ValueError("need at least two factors")
+    owner = [(f, j) for f, rho in enumerate(rhos) for j in range(len(rho.dims))]
+    spectra: list[dict[tuple[int, ...], tuple[float, float]]] = [{} for _ in rhos]
+    total = math.prod(dims)
     worst: ResourceVerdict | None = None
     all_decisive = True
     for r in range(1, n // 2 + 1):
         for side in combinations(range(n), r):
             if r == n / 2 and side[0] != 0:
                 continue  # complements give the same transpose spectrum
-            v = is_free_entanglement(rho, side, tol)
+            induced: list[list[int]] = [[] for _ in rhos]
+            for k in side:
+                f, j = owner[k]
+                induced[f].append(j)
+            low = high = 1.0
+            for rho, cache, local in zip(rhos, spectra, induced):
+                key = tuple(local)
+                if key not in cache:
+                    pt = linalg.partial_transpose(rho.mat, rho.dims, local)
+                    rest = tuple(j for j in range(len(rho.dims)) if j not in local)
+                    cache[key] = cache[rest] = linalg.extreme_eigenvalues(pt)
+                lo, hi = cache[key]
+                ends = (low * lo, low * hi, high * lo, high * hi)
+                low, high = min(ends), max(ends)
+            d_side = math.prod(dims[k] for k in side)
+            v = _cut_verdict(low, d_side, total // d_side, tol)
             if not v.is_free:
                 return ResourceVerdict(False, v.witness_value, True)
             all_decisive = all_decisive and v.decisive
@@ -376,7 +412,8 @@ def _normalize_ensemble(
         vecs = []
         for f in factors:
             vec = np.asarray(f, dtype=complex).reshape(-1)
-            norm = float(np.linalg.norm(vec))
+            with np.errstate(over="ignore"):  # an infinite norm is rejected below
+                norm = float(np.linalg.norm(vec))
             if not abs(norm - 1.0) <= 1e-6:  # a NaN norm fails too
                 raise ValueError("ensemble amplitudes are not normalized")
             vecs.append(linalg._canonicalize_column(vec / norm))
@@ -462,19 +499,38 @@ def _encode_locality(sigma: DensityOperator | None, ensemble: Sequence | None) -
 # --------------------------------------------------------- receiver judges
 
 Verdicts = tuple[dict[str, ResourceVerdict], tuple[str, ...]]
+# One censored block of the receiver and the number of registers it spans.
+Block = tuple[DensityOperator, int]
 
 
-def _register_marginals(receiver: DensityOperator, n_registers: int) -> list[DensityOperator]:
-    group = len(receiver.dims) // n_registers
-    return [receiver.marginal(range(k * group, (k + 1) * group)) for k in range(n_registers)]
+def _block_marginals(blocks: Sequence[Block]) -> list[DensityOperator]:
+    # A one-register block is its own marginal; a block over several
+    # registers is traced over its own factors only.
+    marginals = []
+    for block, spans in blocks:
+        if spans == 1:
+            marginals.append(block)
+            continue
+        group = len(block.dims) // spans
+        marginals.extend(block.marginal(range(k * group, (k + 1) * group)) for k in range(spans))
+    return marginals
 
 
-def _judge_discord(receiver: DensityOperator, n_registers: int) -> Verdicts:
+def _judge_whole(name: str) -> Callable[[DensityOperator, Sequence[Block]], Verdicts]:
+    # The affine tests read single entries, so they judge the receiver itself.
+    return lambda receiver, blocks: ({name: THEORIES[name].free(receiver)}, ())
+
+
+def _judge_entanglement(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
+    return {"entanglement": ppt_all_cuts([block for block, _ in blocks])}, ()
+
+
+def _judge_discord(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
     if len(receiver.dims) == 2:
         cq = is_classical_quantum(receiver)
         witness = discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
         return {"discord": ResourceVerdict(cq.is_free, witness, cq.decisive)}, ()
-    checks = [is_classical_quantum(m) for m in _register_marginals(receiver, n_registers)]
+    checks = [is_classical_quantum(m) for m in _block_marginals(blocks)]
     verdict = ResourceVerdict(all(c.is_free for c in checks), max(c.witness_value for c in checks))
     return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
 
@@ -486,11 +542,11 @@ def _isotropic_weight(marginal: DensityOperator) -> float:
     return (d * d * overlap - 1.0) / (d * d - 1.0)
 
 
-def _judge_locality(receiver: DensityOperator, n_registers: int) -> Verdicts:
+def _judge_locality(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
     notes: list[str] = []
     worst_m = 0.0
     lower, upper = (float(x) for x in isotropic_local_range(2))
-    for k, marg in enumerate(_register_marginals(receiver, n_registers)):
+    for k, marg in enumerate(_block_marginals(blocks)):
         if marg.dims != (2, 2):
             raise ValueError("locality verdicts support two-qubit registers only")
         worst_m = max(worst_m, chsh_parameter(marg))
@@ -503,7 +559,7 @@ def _judge_locality(receiver: DensityOperator, n_registers: int) -> Verdicts:
     violated = worst_m > 1.0 + TOL_CHSH
     verdicts = {
         "locality": ResourceVerdict(not violated, worst_m, decisive=violated),
-        "entanglement": ppt_all_cuts(receiver),
+        "entanglement": ppt_all_cuts([block for block, _ in blocks]),
     }
     notes.append("locality breach determination is limited to per-pair CHSH")
     return verdicts, tuple(notes)
@@ -526,8 +582,9 @@ class ResourceTheory:
     excess       how far a state lies outside the free set; 0 on free states
     encode       (state, ensemble) -> Description of a free state; raises
                  ValueError on resource states
-    judge        (receiver, n_registers) -> (verdicts, notes); None judges
-                 the whole receiver with ``free``
+    judge        (receiver, blocks) -> (verdicts, notes), where the receiver
+                 is the Kronecker product of the censored blocks, each given
+                 with the number of registers it spans
     sample_free  (dim, rng) -> random free state; present exactly for the
                  theories that eigenbasis dephasing censors
     """
@@ -537,7 +594,7 @@ class ResourceTheory:
     free: Callable[[DensityOperator], ResourceVerdict]
     excess: Callable[[DensityOperator], float]
     encode: Callable[[DensityOperator | None, Sequence | None], Description]
-    judge: Callable[[DensityOperator, int], Verdicts] | None = None
+    judge: Callable[[DensityOperator, Sequence[Block]], Verdicts]
     sample_free: Callable[[int, np.random.Generator], DensityOperator] | None = None
 
 
@@ -551,6 +608,7 @@ THEORIES = {
         free=is_free_coherence,
         excess=lambda rho: is_free_coherence(rho).witness_value,
         encode=_encode_coherence,
+        judge=_judge_whole("coherence"),
         sample_free=_sample_diagonal,
     ),
     "imaginarity": ResourceTheory(
@@ -559,6 +617,7 @@ THEORIES = {
         free=is_free_imaginarity,
         excess=lambda rho: is_free_imaginarity(rho).witness_value,
         encode=_encode_imaginarity,
+        judge=_judge_whole("imaginarity"),
         sample_free=lambda dim, rng: random_real_density(dim, dim, rng),
     ),
     "entanglement": ResourceTheory(
@@ -567,6 +626,7 @@ THEORIES = {
         free=lambda rho: ppt_all_cuts(rho),
         excess=lambda rho: -min(0.0, ppt_all_cuts(rho).witness_value),
         encode=_encode_entanglement,
+        judge=_judge_entanglement,
     ),
     "discord": ResourceTheory(
         "discord",

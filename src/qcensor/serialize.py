@@ -256,9 +256,9 @@ def verdict_to_json(v: ResourceVerdict) -> dict:
     }
 
 
-def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
+def _report_fields(report: CensorshipReport, seed: int | None) -> dict:
+    # every report field but the receiver state
     return {
-        "receiver_state": state_to_json(report.receiver_state),
         "verdicts": {name: verdict_to_json(v) for name, v in report.verdicts.items()},
         "breach": bool(report.breach),
         "distances": report.distances,
@@ -268,8 +268,45 @@ def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
     }
 
 
+def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
+    return {"receiver_state": state_to_json(report.receiver_state), **_report_fields(report, seed)}
+
+
+def _table_json(rows: list[list[float]], pad: str) -> str:
+    # json.dumps(rows, indent=2) for a non-empty table opened on a line
+    # indented by ``pad``; json writes a finite float as float.__repr__.
+    row_pad, cell_pad = pad + "  ", pad + "    "
+    cell_sep = ",\n" + cell_pad
+    body = (",\n" + row_pad).join(
+        "[\n" + cell_pad + cell_sep.join(map(float.__repr__, row)) + "\n" + row_pad + "]"
+        for row in rows
+    )
+    return "[\n" + row_pad + body + "\n" + pad + "]"
+
+
 def report_json_str(report: CensorshipReport, seed: int | None = None) -> str:
-    return json.dumps(report_to_json(report, seed), sort_keys=True, indent=2) + "\n"
+    """``json.dumps(report_to_json(report, seed), sort_keys=True, indent=2)``
+    and a newline, byte for byte.
+
+    The receiver's tables are written row by row, which ``DensityOperator``
+    allows because its entries are finite. The fields that sort before and
+    after ``receiver_state`` go through ``json.dumps`` as two objects, whose
+    items are spliced around it.
+    """
+    fields = _report_fields(report, seed)
+    head = {k: v for k, v in fields.items() if k < "receiver_state"}
+    tail = {k: v for k, v in fields.items() if k > "receiver_state"}
+    # json.dumps writes a non-empty object as "{\n" + items + "\n}"
+    head_items = json.dumps(head, sort_keys=True, indent=2)[:-2]
+    tail_items = json.dumps(tail, sort_keys=True, indent=2)[2:]
+    rho = report.receiver_state
+    dims = json.dumps(list(rho.dims), indent=2).replace("\n", "\n    ")
+    state = (
+        f'{{\n    "dims": {dims},\n'
+        f'    "im": {_table_json(rho.mat.imag.tolist(), "    ")},\n'
+        f'    "re": {_table_json(rho.mat.real.tolist(), "    ")}\n  }}'
+    )
+    return f'{head_items},\n  "receiver_state": {state},\n{tail_items}\n'
 
 
 def _format_matrix(mat: np.ndarray) -> str:

@@ -68,13 +68,19 @@ def validate(mat: np.ndarray) -> StateReport:
     arr = linalg.as_complex_matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
     adj = arr.conj().T
-    defect = float(np.abs(arr - adj).max())
-    w = np.linalg.eigvalsh((arr + adj) / 2)  # ascending
+    # Entries near the float limit overflow into an infinite defect or NaN
+    # eigenvalues, which is_valid rejects; numpy need not warn on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = float(np.abs(arr - adj).max())
+        w = np.linalg.eigvalsh((arr + adj) / 2)  # ascending
+        trace = complex(arr.trace())
     return StateReport(
         hermiticity_defect=defect,
         min_eigenvalue=float(w[0]),
-        trace_deviation=abs(complex(arr.trace()) - 1.0),
+        trace_deviation=abs(trace - 1.0),
     )
 
 

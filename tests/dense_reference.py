@@ -15,6 +15,10 @@ joint, and sums the censored blocks over every combination of message
 outcomes with Kronecker-lifted branch Kraus operators. Its cost grows like
 (m*d)^(3N) for N pairs, so use it only on joints a few hundred wide at most.
 
+The dense verdicts judge the whole receiver: PPT partially transposes and
+diagonalizes it once per cut, and each register marginal is a partial trace
+of it. qcensor judges the censored blocks the receiver is a product of.
+
 The validation oracles coerce and check a matrix at every step, as qcensor
 did before each public entry coerced once: a finiteness check per part, a
 re-coercion inside the Hermiticity defect, the signature checked before
@@ -23,11 +27,11 @@ squareness, and each Kraus operator coerced on its own.
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
-from qcensor import linalg
+from qcensor import linalg, qrt
 from qcensor.censorship import (
     ConditionalRDChannel,
     NetworkScenario,
@@ -36,7 +40,7 @@ from qcensor.censorship import (
     build_conditional_channel,
 )
 from qcensor.channels import KrausChannel
-from qcensor.states import DensityOperator
+from qcensor.states import DensityOperator, bell_phi_plus
 
 
 def kraus_apply(kraus, mat: np.ndarray) -> np.ndarray:
@@ -234,6 +238,73 @@ def dense_discord(
     return max(s_measured - s_joint + best, 0.0)
 
 
+def dense_ppt_all_cuts(rho: DensityOperator, tol: float = qrt.TOL_PPT) -> qrt.ResourceVerdict:
+    """PPT across every nontrivial bipartition, one dense transpose per cut."""
+    n = len(rho.dims)
+    if n < 2:
+        raise ValueError("need at least two factors")
+    worst: qrt.ResourceVerdict | None = None
+    all_decisive = True
+    for r in range(1, n // 2 + 1):
+        for side in combinations(range(n), r):
+            if r == n / 2 and side[0] != 0:
+                continue  # complements give the same transpose spectrum
+            v = qrt.is_free_entanglement(rho, side, tol)
+            if not v.is_free:
+                return qrt.ResourceVerdict(False, v.witness_value, True)
+            all_decisive = all_decisive and v.decisive
+            if worst is None or v.witness_value < worst.witness_value:
+                worst = v
+    assert worst is not None
+    return qrt.ResourceVerdict(True, worst.witness_value, all_decisive)
+
+
+def dense_register_marginals(receiver: DensityOperator, n_registers: int) -> list[DensityOperator]:
+    group = len(receiver.dims) // n_registers
+    return [receiver.marginal(range(k * group, (k + 1) * group)) for k in range(n_registers)]
+
+
+def dense_judge(theory: str, receiver: DensityOperator, n_registers: int):
+    """(verdicts, notes) of ``qrt.THEORIES[theory].judge`` from the dense receiver."""
+    if theory == "entanglement":
+        return {"entanglement": dense_ppt_all_cuts(receiver)}, ()
+    marginals = dense_register_marginals(receiver, n_registers)
+    if theory == "discord":
+        if len(receiver.dims) == 2:
+            cq = qrt.is_classical_quantum(receiver)
+            witness = qrt.discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
+            return {"discord": qrt.ResourceVerdict(cq.is_free, witness, cq.decisive)}, ()
+        checks = [qrt.is_classical_quantum(m) for m in marginals]
+        verdict = qrt.ResourceVerdict(
+            all(c.is_free for c in checks), max(c.witness_value for c in checks)
+        )
+        return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
+    if theory != "locality":
+        raise ValueError(f"no dense judge for {theory!r}")
+    notes: list[str] = []
+    worst_m = 0.0
+    lower, upper = (float(x) for x in qrt.isotropic_local_range(2))
+    for k, marg in enumerate(marginals):
+        if marg.dims != (2, 2):
+            raise ValueError("locality verdicts support two-qubit registers only")
+        worst_m = max(worst_m, qrt.chsh_parameter(marg))
+        d = marg.dims[0]
+        overlap = float(np.trace(marg.mat @ bell_phi_plus(d).mat).real)
+        if lower - 1e-9 <= (d * d * overlap - 1.0) / (d * d - 1.0) <= upper + 1e-9:
+            notes.append(
+                f"activation risk: receiver marginal {k} sits in the entangled-but-"
+                f"local window ({lower:.6f}, {upper:.6f}]; "
+                "copies of it can exhibit nonlocality jointly"
+            )
+    violated = worst_m > 1.0 + qrt.TOL_CHSH
+    verdicts = {
+        "locality": qrt.ResourceVerdict(not violated, worst_m, decisive=violated),
+        "entanglement": dense_ppt_all_cuts(receiver),
+    }
+    notes.append("locality breach determination is limited to per-pair CHSH")
+    return verdicts, tuple(notes)
+
+
 def reference_as_complex_matrix(mat) -> np.ndarray:
     arr = np.asarray(mat, dtype=complex)
     if arr.ndim != 2:
@@ -243,10 +314,16 @@ def reference_as_complex_matrix(mat) -> np.ndarray:
     return arr
 
 
+def _reference_nonempty(arr: np.ndarray) -> None:
+    if arr.size == 0:
+        raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
+
+
 def reference_hermiticity_defect(mat) -> float:
     arr = reference_as_complex_matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
+    _reference_nonempty(arr)
     return float(np.abs(arr - arr.conj().T).max())
 
 
@@ -255,6 +332,7 @@ def reference_validate(mat) -> tuple[float, float, float]:
     arr = reference_as_complex_matrix(mat)
     if arr.shape[0] != arr.shape[1]:
         raise ValueError(f"expected a square matrix, got {arr.shape}")
+    _reference_nonempty(arr)
     defect = reference_hermiticity_defect(arr)
     w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
     return defect, float(w.min()), abs(complex(arr.trace()) - 1.0)

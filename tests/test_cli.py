@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -384,8 +385,44 @@ def test_malformed_ensemble_exits_two_on_one_line(scenario, message, tmp_path, c
     assert err.count("\n") == 1 and "Warning" not in err
 
 
+def _run_quietly(scenario, tmp_path) -> tuple[int, str, list]:
+    """Exit code, stderr and the warnings raised by ``qcensor run``."""
+    path = _write(tmp_path, scenario)
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["run", "--scenario", str(path)])
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+_HUGE = (1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308)
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        _with(
+            _honest_imaginarity_scenario(),
+            senders__0__state__re=[[1e308, 1e308], [-1e308, 0.0]],
+            senders__0__state__im=[[0.0, 0.0], [0.0, 0.0]],
+        ),
+        _with(_honest_imaginarity_scenario(), senders__0__state__re=[[_HUGE[2], 0.0], [0.0, _HUGE[2]]]),
+        _ensemble_term([[[1e308, 1e308], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+        _ensemble_term([[[_HUGE[3], 0.0], [_HUGE[2], 0.0]], [[0.0, 0.0], [1.0, 0.0]]]),
+    ],
+    ids=["state-1e308", "state-max-float", "amplitude-1e308", "amplitude-max-float"],
+)
+def test_huge_finite_numbers_exit_two_without_warnings(scenario, tmp_path):
+    code, err, caught = _run_quietly(scenario, tmp_path)
+    assert code == EXIT_USAGE
+    assert err.startswith("invalid scenario:") and err.count("\n") == 1, err
+    assert not caught, caught
+
+
 # Mutations of valid scenarios for the exit-code fuzz: each replaces, drops,
-# shortens, lengthens or empties one node of the scenario tree.
+# shortens, lengthens or empties one node of the scenario tree, or puts a
+# number near the float limit in it.
 _WRONG_VALUES = ("x", None, True, {}, 3, -1, 2.5, [[1]])
 _NON_FINITE = (math.nan, math.inf, -math.inf, "nan", "-inf")
 _FUZZ_BASES = (
@@ -414,11 +451,15 @@ def _mutated_scenarios(draw):
         for key in path[:-1]:
             parent = parent[key]
         key, node = path[-1], parent[path[-1]]
-        kind = draw(st.sampled_from(("wrong", "non_finite", "drop", "short", "long", "empty")))
-        if kind == "wrong":
-            parent[key] = draw(st.sampled_from(_WRONG_VALUES))
+        kind = draw(
+            st.sampled_from(("wrong", "non_finite", "huge", "drop", "short", "long", "empty"))
+        )
+        if kind == "wrong":  # a copy: a second mutation must not edit _WRONG_VALUES
+            parent[key] = copy.deepcopy(draw(st.sampled_from(_WRONG_VALUES)))
         elif kind == "non_finite":
             parent[key] = draw(st.sampled_from(_NON_FINITE))
+        elif kind == "huge":
+            parent[key] = draw(st.sampled_from(_HUGE))
         elif kind == "drop":
             del parent[key]
         elif kind == "short" and isinstance(node, list) and node:
@@ -433,17 +474,10 @@ def _mutated_scenarios(draw):
 @given(_mutated_scenarios())
 @settings(max_examples=300)
 def test_mutated_scenarios_keep_the_exit_code_contract(tmp_path_factory, scenario):
-    path = tmp_path_factory.mktemp("fuzz") / "scenario.json"
-    path.write_text(json.dumps(scenario))
-    out, err = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["run", "--scenario", str(path)])
-    stderr = err.getvalue()
+    code, stderr, caught = _run_quietly(scenario, tmp_path_factory.mktemp("fuzz"))
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_BREACH), stderr
     assert "Traceback" not in stderr and "Warning" not in stderr
-    assert not caught, [str(w.message) for w in caught]
+    assert not caught, caught
 
 
 def test_noise_of_wrong_width_names_both_dimensions(tmp_path, capsys):

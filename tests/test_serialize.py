@@ -1,9 +1,12 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qcensor.censorship import ScenarioError, run_protocol
+from qcensor.censorship import CensorshipReport, ScenarioError, run_protocol
 from qcensor.channels import ChannelSpec
 from qcensor.demos import discord_breach_demo
 from qcensor.serialize import (
@@ -18,6 +21,7 @@ from qcensor.serialize import (
     state_from_json,
     state_to_json,
 )
+from qcensor.qrt import ResourceVerdict
 from qcensor.states import bell_phi_plus, from_pure, isotropic, make_rng, random_density
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -118,6 +122,51 @@ def test_report_json_deterministic():
     assert payload["breach"] is True
     assert payload["seed"] == 3
     assert "discord" in payload["verdicts"]
+
+
+# Entries json prints in every form: signed zero, the smallest subnormal,
+# exponent notation and integral floats.
+SPECIAL = (-0.0, 0.0, 5e-324, -5e-324, 1e16, -1e16, 1.0, -2.0, 3.0, 1e-7, 0.1)
+ENTRIES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
+# Report text with quotes, backslashes, newlines, non-ASCII and NUL.
+TEXT = st.text(st.sampled_from('a"\\\n\t\x00\u00e9\u2192\U0001f600 {}[],:0'), max_size=12)
+
+
+def _table(rng: np.random.Generator, n: int) -> np.ndarray:
+    # special entries mixed with normals spread over the float exponent range
+    spread = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+    return np.where(rng.random((n, n)) < 0.5, rng.choice(SPECIAL, (n, n)), spread)
+
+
+@st.composite
+def reports(draw):
+    n = draw(st.integers(1, 64))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    # the writer reads only .mat and .dims, so the tables need not be a state
+    receiver = SimpleNamespace(mat=_table(rng, n) + 1j * _table(rng, n), dims=(n,))
+    verdicts = {
+        name: ResourceVerdict(draw(st.booleans()), draw(ENTRIES), draw(st.booleans()))
+        for name in draw(st.lists(TEXT, max_size=2, unique=True))
+    }
+    extras = draw(st.dictionaries(TEXT, st.one_of(TEXT, ENTRIES, st.lists(ENTRIES)), max_size=3))
+    distances = draw(st.one_of(st.none(), st.just([{"sender": 0, "d_noisy": 0.5}])))
+    report = CensorshipReport(
+        receiver_state=receiver,
+        verdicts=verdicts,
+        breach=draw(st.booleans()),
+        distances=distances,
+        notes=tuple(draw(st.lists(TEXT, max_size=3))),
+        extras=extras,
+    )
+    return report, draw(st.one_of(st.none(), st.integers(-(2**63), 2**63)))
+
+
+@given(reports())
+@settings(max_examples=150, deadline=None)
+def test_report_json_str_is_json_dumps_byte_for_byte(case):
+    report, seed = case
+    want = json.dumps(report_to_json(report, seed), sort_keys=True, indent=2) + "\n"
+    assert report_json_str(report, seed) == want
 
 
 def test_report_pretty_renders():

@@ -180,3 +180,26 @@ def test_tensor_concatenates_signatures():
 def test_make_rng_rejects_unknown_algorithm():
     with pytest.raises(ValueError):
         make_rng(0, algorithm="mt19937")
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        validate,
+        linalg.hermiticity_defect,
+        linalg.min_eigenvalue,
+        linalg.hermitian_eig,
+        lambda mat: DensityOperator(mat, (2,)),
+    ],
+    ids=["validate", "hermiticity_defect", "min_eigenvalue", "hermitian_eig", "DensityOperator"],
+)
+def test_empty_matrix_is_rejected_with_its_shape(entry):
+    with pytest.raises(ValueError, match=r"^expected a non-empty matrix, got shape \(0, 0\)$"):
+        entry(np.zeros((0, 0)))
+
+
+def test_huge_entries_are_rejected_without_numpy_warnings(recwarn):
+    with pytest.raises(ValueError, match="invalid density operator: hermiticity defect inf"):
+        DensityOperator([[1e308, 1e308], [-1e308, 0]], (2,))
+    assert not validate(np.full((2, 2), 1.7976931348623157e308)).is_valid
+    assert len(recwarn) == 0, [str(w.message) for w in recwarn]
