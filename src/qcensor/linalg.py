@@ -151,27 +151,25 @@ def partial_transpose(
     return arr.reshape(sig + sig).transpose(axes).reshape(arr.shape)
 
 
-def _canonicalize_column(col: np.ndarray) -> np.ndarray:
-    # Phase fixed so the first entry within _TIE_TOL of the largest magnitude
-    # is real positive; float noise cannot move the pivot between near-ties.
-    mags = np.abs(col)
-    pivot = int(np.argmax(mags >= mags.max() - _TIE_TOL))
-    if mags[pivot] == 0.0:
-        return col
-    return col * (col[pivot].conjugate() / mags[pivot])
+def _canonicalize_column(vecs: np.ndarray) -> np.ndarray:
+    """Phase-fix each column of a matrix, or a single vector, at once.
 
-
-def _lex_key(col: np.ndarray) -> tuple:
-    return tuple((round(float(x.real), 12), round(float(x.imag), 12)) for x in col)
+    The first entry within _TIE_TOL of a column's largest magnitude becomes
+    real positive, so float noise cannot move the pivot between near-ties.
+    Columns must be nonzero.
+    """
+    mags = np.abs(vecs)
+    pivot = (mags >= mags.max(0) - _TIE_TOL).argmax(0)
+    at = (pivot, np.arange(vecs.shape[1])) if vecs.ndim == 2 else pivot
+    return vecs * (vecs[at].conjugate() / mags[at])
 
 
 def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
-    Returns eigenvalues sorted descending and orthonormal eigenvector columns.
-    Each column is phase-fixed (first entry within a tie tolerance of the
-    largest magnitude real positive) and columns inside a degenerate group
-    are ordered lexicographically, so repeated calls on equal inputs give
+    Returns eigenvalues sorted descending and orthonormal eigenvector columns,
+    each phase-fixed by ``_canonicalize_column``. Inside a degenerate group
+    the columns keep ``eigh``'s order, so repeated calls on equal inputs give
     identical output.
     """
     arr = _square(mat)
@@ -180,21 +178,7 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
         raise ValueError(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
     order = np.argsort(-w, kind="stable")
-    w = w[order].real
-    v = v[:, order]
-    for j in range(v.shape[1]):
-        v[:, j] = _canonicalize_column(v[:, j])
-    tie = _TIE_TOL * max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and w[start] - w[stop] <= tie:
-            stop += 1
-        if stop - start > 1:
-            cols = sorted(range(start, stop), key=lambda j: _lex_key(v[:, j]))
-            v[:, start:stop] = v[:, cols]
-        start = stop
-    return w, v
+    return w[order], _canonicalize_column(v[:, order])
 
 
 def extreme_eigenvalues(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[float, float]:

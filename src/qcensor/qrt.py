@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from typing import Callable, Sequence
 
 import numpy as np
@@ -326,17 +326,33 @@ def born_probabilities(
 # ------------------------------------------------------------ descriptions
 
 
-def _quantize(x: float) -> float:
+def _quantize(x):
+    """``x`` rounded to LABEL_DECIMALS places, with -0.0 as 0.0; an array
+    becomes nested tuples, and a complex number its (real, imag) pair."""
+    if isinstance(x, np.ndarray):
+        return _quantize(x.tolist())
+    if isinstance(x, list):
+        return tuple(map(_quantize, x))
+    if isinstance(x, complex):
+        return (_quantize(x.real), _quantize(x.imag))
     q = round(float(x), LABEL_DECIMALS)
     return 0.0 if q == 0 else q
 
 
-def _fmt(x: float) -> str:
-    return format(_quantize(x), f".{LABEL_DECIMALS}f")
+def _render(payload, seps: str) -> str:
+    """Label text of a quantized payload: each number with LABEL_DECIMALS
+    places, the items at nesting level k joined by ``seps[k]``."""
+    if isinstance(payload, tuple):
+        return seps[0].join(_render(x, seps[1:]) for x in payload)
+    return format(payload, f".{LABEL_DECIMALS}f")
 
 
-def _fmt_complex(z: complex) -> str:
-    return f"{_fmt(z.real)},{_fmt(z.imag)}"
+def _prime_roots(n: int) -> np.ndarray:
+    # Square roots of the first n primes are linearly independent over the
+    # rationals, so a structured eigenspace rarely compresses them to a
+    # degenerate operator.
+    primes = (k for k in count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
+    return np.sqrt(list(islice(primes, n)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -369,8 +385,8 @@ def _encode_coherence(sigma: DensityOperator | None, ensemble: Sequence | None) 
         )
     probs = np.clip(np.diag(sigma.mat).real, 0.0, None)
     probs = probs / probs.sum()
-    payload = tuple(_quantize(p) for p in probs[:-1])
-    label = f"coherence|probs|{';'.join(_fmt(p) for p in probs[:-1])}".encode()
+    payload = _quantize(probs[:-1])
+    label = f"coherence|probs|{_render(payload, ';')}".encode()
     canonical = DensityOperator(np.diag(probs).astype(complex), sigma.dims)
     return Description("coherence", payload, label, canonical)
 
@@ -380,19 +396,23 @@ def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None
     if not verdict.is_free:
         raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
     real_mat = sigma.mat.real.astype(complex)
-    _, vecs = linalg.hermitian_eig(real_mat)
+    w, vecs = linalg.hermitian_eig(real_mat)
+    # Inside a run of eigenvalues within TOL_DIAG the eigensolver's basis is
+    # arbitrary; the eigenvectors of a fixed diagonal operator compressed onto
+    # that eigenspace are not, up to the phase the phase rule fixes.
+    bounds = [0, *(np.flatnonzero(np.diff(w) < -TOL_DIAG) + 1).tolist(), w.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            probe = block.conj().T @ (_prime_roots(w.size)[:, None] * block)
+            vecs[:, start:stop] = linalg._canonicalize_column(block @ np.linalg.eigh(probe)[1])
     if float(np.abs(vecs.imag).max()) > 1e-8:
         raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
-    basis = vecs.real
     # Order columns by the quantized vectors themselves, not by eigenvalue,
     # so that commuting states (same eigenvectors, any spectra) share a label
     # and sub-label noise cannot reorder columns the label cannot tell apart.
-    columns = [tuple(_quantize(x) for x in basis[:, j]) for j in range(basis.shape[1])]
-    order = sorted(range(basis.shape[1]), key=lambda j: columns[j])
-    basis = basis[:, order]
-    payload = tuple(columns[j] for j in order)
-    body = ";".join(",".join(_fmt(x) for x in basis[:, j]) for j in range(basis.shape[1]))
-    label = f"imaginarity|eigenbasis|{body}".encode()
+    payload = tuple(sorted(_quantize(vecs.real.T)))
+    label = f"imaginarity|eigenbasis|{_render(payload, ';,')}".encode()
     canonical = DensityOperator(real_mat, sigma.dims)
     return Description("imaginarity", payload, label, canonical)
 
@@ -423,10 +443,11 @@ def _normalize_ensemble(
         raise ValueError("ensemble must contain at least one term")
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
-    if dims is not None:
-        for _, vecs in terms:
-            if tuple(v.size for v in vecs) != tuple(dims):
-                raise ValueError("ensemble factor dimensions do not match the register")
+    expected = tuple(v.size for v in terms[0][1]) if dims is None else tuple(dims)
+    for _, vecs in terms:
+        shape = tuple(v.size for v in vecs)
+        if shape != expected:
+            raise ValueError(f"ensemble factor dimensions {shape} do not match {expected}")
     return [(w / total, vecs) for w, vecs in terms]
 
 
@@ -453,30 +474,19 @@ def _encode_entanglement(
     sanity = ppt_all_cuts(state)
     if not sanity.is_free:
         raise ValueError("ensemble reconstruction failed the PPT sanity check")
-    term_strs = sorted(
-        f"{_fmt(w)}:{'|'.join(','.join(_fmt_complex(z) for z in v) for v in vecs)}"
-        for w, vecs in terms
+    # Terms in the order of their text, so that payload and label agree on it.
+    rendered = sorted(
+        (_render(term, ":|,,"), term)
+        for term in ((_quantize(w), tuple(map(_quantize, vecs))) for w, vecs in terms)
     )
-    payload = tuple(
-        (
-            _quantize(w),
-            tuple(tuple((_quantize(z.real), _quantize(z.imag)) for z in v) for v in vecs),
-        )
-        for w, vecs in terms
-    )
-    label = f"entanglement|ensemble|{';'.join(term_strs)}".encode()
+    payload = tuple(term for _, term in rendered)
+    label = f"entanglement|ensemble|{';'.join(text for text, _ in rendered)}".encode()
     return Description("entanglement", payload, label, state)
 
 
 def _encode_matrix(theory: str, sigma: DensityOperator) -> Description:
-    body = ";".join(
-        ",".join(_fmt_complex(z) for z in sigma.mat[i]) for i in range(sigma.dim)
-    )
-    payload = tuple(
-        tuple((_quantize(z.real), _quantize(z.imag)) for z in sigma.mat[i])
-        for i in range(sigma.dim)
-    )
-    label = f"{theory}|matrix|{body}".encode()
+    payload = _quantize(sigma.mat)
+    label = f"{theory}|matrix|{_render(payload, ';,,')}".encode()
     return Description(theory, payload, label, sigma)
 
 

@@ -23,6 +23,11 @@ The validation oracles coerce and check a matrix at every step, as qcensor
 did before each public entry coerced once: a finiteness check per part, a
 re-coercion inside the Hermiticity defect, the signature checked before
 squareness, and each Kraus operator coerced on its own.
+
+The reference eigendecomposition phase-fixes one column at a time and sorts
+the columns of each degenerate group lexicographically, where qcensor
+phase-fixes all columns at once and keeps the eigensolver's order inside a
+group.
 """
 
 from __future__ import annotations
@@ -382,3 +387,40 @@ def reference_kraus_transfer(kraus, in_dims, out_dims) -> np.ndarray:
     reference_check_signature(in_dims, d_in)
     reference_check_signature(out_dims, d_out)
     return transfer.reshape(d_out * d_out, d_in * d_in)
+
+
+def _reference_phase_fix(col: np.ndarray) -> np.ndarray:
+    mags = np.abs(col)
+    pivot = int(np.argmax(mags >= mags.max() - 1e-10))
+    if mags[pivot] == 0.0:
+        return col
+    return col * (col[pivot].conjugate() / mags[pivot])
+
+
+def _reference_lex_key(col: np.ndarray) -> tuple:
+    return tuple((round(float(x.real), 12), round(float(x.imag), 12)) for x in col)
+
+
+def reference_hermitian_eig(mat) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues and phase-fixed eigenvectors, each degenerate
+    group's columns in lexicographic order."""
+    arr = reference_as_complex_matrix(mat)
+    if reference_hermiticity_defect(arr) > linalg.TOL_HERM:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
+    order = np.argsort(-w, kind="stable")
+    w = w[order].real
+    v = v[:, order]
+    for j in range(v.shape[1]):
+        v[:, j] = _reference_phase_fix(v[:, j])
+    tie = 1e-10 * max(1.0, float(np.abs(w).max()))
+    start = 0
+    while start < len(w):
+        stop = start + 1
+        while stop < len(w) and w[start] - w[stop] <= tie:
+            stop += 1
+        if stop - start > 1:
+            cols = sorted(range(start, stop), key=lambda j: _reference_lex_key(v[:, j]))
+            v[:, start:stop] = v[:, cols]
+        start = stop
+    return w, v

@@ -1,5 +1,5 @@
-"""The benchmark's span tracer still finds the channel and discord layers it
-reports.
+"""The benchmark's span tracer still finds the channel, eigendecomposition,
+description and discord layers it reports.
 
 ``bench/spans.py`` wraps qcensor's functions and methods by name and counts
 Kraus operators on every ``KrausChannel`` it sees; a refactor that renames or
@@ -46,6 +46,8 @@ def test_tracer_sees_the_channel_layers(capsys):
         "channels.KrausChannel.apply_matrix.calls",
         "channels.KrausChannel.kraus_ops",
         "channels.replacement_channel.calls",
+        "linalg.hermitian_eig.calls",
+        "censorship.encode_description.calls",
     ):
         assert totals.get(metric, 0) > 0, metric
 

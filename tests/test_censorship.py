@@ -81,6 +81,34 @@ def test_encode_imaginarity_label_stable_under_diagonal_noise():
     assert len(labels) == 1
 
 
+def _rotated_in_block(q, theta):
+    # q with its last two columns rotated by theta inside their span
+    r = np.eye(3)
+    r[1:, 1:] = _rotation(theta)
+    return q @ r
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))[0],
+        np.array([[1.0, 0.0, 1.0], [0.0, np.sqrt(2), 0.0], [-1.0, 0.0, 1.0]]) / np.sqrt(2),
+    ],
+    ids=["random-eigenbasis", "structured-eigenbasis"],
+)
+def test_encode_imaginarity_degenerate_eigenspace_has_one_label(q):
+    # diag(.5, .25, .25) in the basis q, with the degenerate pair rotated: the
+    # states agree up to float noise, and the eigensolver's basis of the
+    # degenerate eigenspace is arbitrary, so the label must not follow it.
+    # The structured basis is 1/2 |v><v| + 1/4 (I - |v><v|), v = (e0 - e2)/sqrt(2).
+    labels = set()
+    for theta in np.linspace(0.0, np.pi, 16, endpoint=False):
+        qt = _rotated_in_block(q, theta)
+        rho = DensityOperator((qt @ np.diag([0.5, 0.25, 0.25]) @ qt.T).astype(complex), (3,))
+        labels.add(encode_description("imaginarity", rho).label)
+    assert len(labels) == 1
+
+
 def test_encode_imaginarity_distinct_classes_distinct_labels():
     a, _ = _commuting_real_pair(0.3)
     c, _ = _commuting_real_pair(0.9)

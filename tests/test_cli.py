@@ -313,26 +313,46 @@ def _entanglement_honest():
     }
 
 
+def _ensemble_terms(*shapes):
+    # one equal-weight product term per shape, each factor a basis vector
+    terms = [
+        {"weight": 1 / len(shapes), "factors": [[[1.0, 0.0]] + [[0.0, 0.0]] * (d - 1) for d in shape]}
+        for shape in shapes
+    ]
+    return _with(_entanglement_honest(), senders__0__ensemble=terms)
+
+
 @pytest.mark.parametrize(
-    "scenario",
+    "scenario, detail",
     [
-        _with(_honest_imaginarity_scenario(), seed="x"),
-        _with(_honest_imaginarity_scenario(), seed=2.7),
-        _with(_honest_imaginarity_scenario(), seed=True),
-        _with(_discord_breach_scenario(), senders__0__spans="two"),
-        _with(_discord_breach_scenario(), senders__0__spans=1.9),
-        _with(_discord_breach_scenario(), senders__0__spans=True),
-        _with(_discord_breach_scenario(), senders__0__spans=0),
-        _with(_honest_imaginarity_scenario(), senders__0__state__dims=[2.5]),
-        _with(_entanglement_honest(), senders__0__ensemble__0__weight="w"),
-        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {"strength": "s"}}),
-        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {}}),
-        _with(_honest_imaginarity_scenario(), noise={"kind": "amplitude_damping", "params": []}),
-        _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": "s"}),
-        _with(_locality_senders(1), noise={"kind": "amplitude_damping", "params": {"gamma": 0.5}}),
-        _with(_honest_imaginarity_scenario(), theory="magic"),
-        _with(_honest_imaginarity_scenario(), theory=5),
-        _with(_discord_breach_scenario(), senders__0__state__dims="322"),
+        (_with(_honest_imaginarity_scenario(), seed="x"), ""),
+        (_with(_honest_imaginarity_scenario(), seed=2.7), ""),
+        (_with(_honest_imaginarity_scenario(), seed=True), ""),
+        (_with(_discord_breach_scenario(), senders__0__spans="two"), ""),
+        (_with(_discord_breach_scenario(), senders__0__spans=1.9), ""),
+        (_with(_discord_breach_scenario(), senders__0__spans=True), ""),
+        (_with(_discord_breach_scenario(), senders__0__spans=0), ""),
+        (_with(_honest_imaginarity_scenario(), senders__0__state__dims=[2.5]), ""),
+        (_with(_entanglement_honest(), senders__0__ensemble__0__weight="w"), ""),
+        (
+            _with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {"strength": "s"}}),
+            "",
+        ),
+        (_with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": {}}), ""),
+        (
+            _with(_honest_imaginarity_scenario(), noise={"kind": "amplitude_damping", "params": []}),
+            "",
+        ),
+        (_with(_honest_imaginarity_scenario(), noise={"kind": "depolarizing", "params": "s"}), ""),
+        (
+            _with(_locality_senders(1), noise={"kind": "amplitude_damping", "params": {"gamma": 0.5}}),
+            "",
+        ),
+        (_with(_honest_imaginarity_scenario(), theory="magic"), ""),
+        (_with(_honest_imaginarity_scenario(), theory=5), ""),
+        (_with(_discord_breach_scenario(), senders__0__state__dims="322"), ""),
+        (_ensemble_terms((2, 2), (2, 3)), "(2, 3) do not match (2, 2)"),
+        (_ensemble_terms((2, 2), (2, 2, 2)), "(2, 2, 2) do not match (2, 2)"),
     ],
     ids=[
         "seed-not-int",
@@ -352,15 +372,18 @@ def _entanglement_honest():
         "theory-unknown",
         "theory-not-string",
         "dims-string",
+        "ragged-factor-dims",
+        "ragged-factor-count",
     ],
 )
-def test_malformed_scenario_exits_two_without_traceback(scenario, tmp_path, capsys):
+def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_path, capsys):
     path = _write(tmp_path, scenario)
     code = main(["run", "--scenario", str(path)])
     err = capsys.readouterr().err
     assert code == EXIT_USAGE
     assert err.startswith("invalid scenario:")
     assert "Traceback" not in err
+    assert detail in err.splitlines()[0]
 
 
 def _ensemble_term(factors):

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dense_reference import reference_hermitian_eig
 from qcensor import linalg
-from qcensor.states import make_rng, random_density
+from qcensor.channels import dephasing_channel, replacement_channel
+from qcensor.states import isotropic, make_rng, maximally_mixed, random_density
 
 # Frozen by independent scalar evaluation: -(0.9 ln 0.9 + 0.1 ln 0.1)
 ENTROPY_09_01 = 0.3250829733914482
@@ -178,6 +180,53 @@ def test_hermitian_eig_deterministic():
 def test_hermitian_eig_rejects_nonhermitian():
     with pytest.raises(ValueError):
         linalg.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 16))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_eig_matches_reference_without_degeneracy(seed, dim):
+    h = _rand_hermitian(np.random.default_rng(seed), dim)
+    w, v = linalg.hermitian_eig(h)
+    assume(np.diff(w).max() < -1e-9)  # no group for the reference's tie sort
+    ref_w, ref_v = reference_hermitian_eig(h)
+    assert np.array_equal(w, ref_w)
+    assert np.array_equal(v, ref_v)
+
+
+def _degenerate_state(kind, rng):
+    if kind == "isotropic":
+        return isotropic(int(rng.integers(2, 4)), float(rng.random()))
+    if kind == "maximally_mixed":
+        return maximally_mixed((int(rng.integers(2, 9)),))
+    dim = int(rng.integers(3, 9))
+    return random_density(dim, int(rng.integers(1, dim - 1)), rng)
+
+
+@given(st.sampled_from(["isotropic", "maximally_mixed", "rank_deficient"]), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_hermitian_eig_agrees_with_reference_on_degenerate_spectra(kind, seed):
+    # Inside a degenerate group the two orders differ; everything read from
+    # the basis must not.
+    sigma = _degenerate_state(kind, np.random.default_rng(seed))
+    w, v = linalg.hermitian_eig(sigma.mat)
+    ref_w, ref_v = reference_hermitian_eig(sigma.mat)
+    assert np.array_equal(w, ref_w)
+    assert np.abs(v.conj().T @ v - np.eye(sigma.dim)).max() < 1e-12
+    mags = np.abs(v)
+    pivots = v[(mags >= mags.max(0) - 1e-10).argmax(0), np.arange(sigma.dim)]
+    assert np.all(pivots.real > 0) and np.abs(pivots.imag).max() < 1e-15
+    starts = np.flatnonzero(np.r_[True, np.diff(w) < -1e-10 * max(1.0, np.abs(w).max())])
+    for group in np.split(np.arange(sigma.dim), starts[1:]):
+        proj = v[:, group] @ v[:, group].conj().T
+        ref_proj = ref_v[:, group] @ ref_v[:, group].conj().T
+        assert np.abs(proj - ref_proj).max() < 1e-12
+    dephase = dephasing_channel(v, sigma.dims).transfer
+    assert np.abs(dephase - dephasing_channel(ref_v, sigma.dims).transfer).max() < 1e-15
+    replace = replacement_channel(sigma).transfer
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "hermitian_eig", reference_hermitian_eig)
+        ref_replace = replacement_channel(sigma).transfer
+    assert np.abs(replace - ref_replace).max() < 1e-15
 
 
 # --------------------------------------------------------------- entropy
