@@ -77,8 +77,7 @@ class ConditionalRDChannel:
 
 
 def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
-    _, basis = linalg.hermitian_eig(state.mat)
-    return dephasing_channel(basis, dims=state.dims)
+    return dephasing_channel(qrt.canonical_eigenbasis(state.mat), dims=state.dims)
 
 
 def build_conditional_channel(

@@ -76,8 +76,7 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     from its description passes that vector through untouched.
     """
     sigma = isotropic(2, 1.0 / 3.0)
-    _, basis = linalg.hermitian_eig(sigma.mat)
-    branch = dephasing_channel(basis, dims=(2, 2))
+    branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), dims=(2, 2))
     phi = bell_phi_plus(2)
     receiver = apply(branch, phi)
     fixed = apply(branch, sigma)

@@ -348,11 +348,25 @@ def _render(payload, seps: str) -> str:
 
 
 def _prime_roots(n: int) -> np.ndarray:
-    # Square roots of the first n primes are linearly independent over the
-    # rationals, so a structured eigenspace rarely compresses them to a
-    # degenerate operator.
+    # Roots of distinct primes are linearly independent over the rationals,
+    # so a structured eigenspace rarely compresses them to a degenerate operator.
     primes = (k for k in count(2) if all(k % p for p in range(2, math.isqrt(k) + 1)))
     return np.sqrt(list(islice(primes, n)))
+
+
+def canonical_eigenbasis(mat: np.ndarray) -> np.ndarray:
+    """``linalg.hermitian_eig``'s eigenvectors with each degenerate eigenspace
+    (eigenvalues within TOL_DIAG) in the phase-fixed eigenbasis of
+    diag(sqrt 2, sqrt 3, sqrt 5, ...) compressed onto it. Imaginarity labels
+    and eigen-dephasing branches both read it: a branch dephases in its label's basis."""
+    w, vecs = linalg.hermitian_eig(mat)
+    bounds = [0, *(np.flatnonzero(np.diff(w) < -TOL_DIAG) + 1).tolist(), w.size]
+    for start, stop in zip(bounds, bounds[1:]):
+        if stop - start > 1:
+            block = vecs[:, start:stop]
+            probe = block.conj().T @ (_prime_roots(w.size)[:, None] * block)
+            vecs[:, start:stop] = linalg._canonicalize_column(block @ np.linalg.eigh(probe)[1])
+    return vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -396,16 +410,7 @@ def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None
     if not verdict.is_free:
         raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
     real_mat = sigma.mat.real.astype(complex)
-    w, vecs = linalg.hermitian_eig(real_mat)
-    # Inside a run of eigenvalues within TOL_DIAG the eigensolver's basis is
-    # arbitrary; the eigenvectors of a fixed diagonal operator compressed onto
-    # that eigenspace are not, up to the phase the phase rule fixes.
-    bounds = [0, *(np.flatnonzero(np.diff(w) < -TOL_DIAG) + 1).tolist(), w.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            probe = block.conj().T @ (_prime_roots(w.size)[:, None] * block)
-            vecs[:, start:stop] = linalg._canonicalize_column(block @ np.linalg.eigh(probe)[1])
+    vecs = canonical_eigenbasis(real_mat)
     if float(np.abs(vecs.imag).max()) > 1e-8:
         raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
     # Order columns by the quantized vectors themselves, not by eigenvalue,

@@ -364,6 +364,31 @@ def test_two_honest_imaginarity_senders_unchanged():
     assert report.verdicts["imaginarity"].is_free
 
 
+@pytest.mark.parametrize("theta", [0.0, 0.8, 2.4])
+def test_degenerate_and_nondegenerate_senders_sharing_a_label_are_both_fixed(theta):
+    # sigma1 is 1/2 |v><v| + 1/4 (I - |v><v|): its label names one basis of
+    # the degenerate eigenspace. sigma2 has that basis as its non-degenerate
+    # eigenbasis, so both share a label and the branch built from sigma1 must
+    # dephase in the named basis, not in the eigensolver's.
+    q = np.array([[1.0, 0.0, 1.0], [0.0, np.sqrt(2), 0.0], [-1.0, 0.0, 1.0]]) / np.sqrt(2)
+    qt = _rotated_in_block(q, theta)
+    s1 = DensityOperator((qt @ np.diag([0.5, 0.25, 0.25]) @ qt.T).astype(complex), (3,))
+    basis = qrt.canonical_eigenbasis(s1.mat).real
+    s2 = DensityOperator((basis @ np.diag([0.5, 0.3, 0.2]) @ basis.T).astype(complex), (3,))
+    assert encode_description("imaginarity", s1).label == encode_description(
+        "imaginarity", s2
+    ).label
+    report = run_protocol(
+        NetworkScenario(
+            "imaginarity",
+            "eigen_dephasing",
+            [SenderStrategy("honest", state=s1), SenderStrategy("honest", state=s2)],
+        )
+    )
+    assert not report.breach
+    assert np.abs(report.receiver_state.mat - np.kron(s1.mat, s2.mat)).max() < 1e-9
+
+
 def test_honest_claim_mismatch_rejected():
     a, _ = _commuting_real_pair(0.2)
     c, _ = _commuting_real_pair(1.2)
