@@ -41,7 +41,6 @@ from .qrt import (
     ResourceTheory,
     ResourceVerdict,
     THEORIES,
-    born_probabilities,
     chsh_parameter,
     discord,
     is_classical_quantum,
@@ -53,7 +52,6 @@ from .qrt import (
 )
 from .states import (
     DensityOperator,
-    PureState,
     StateReport,
     bell_phi_plus,
     from_pure,

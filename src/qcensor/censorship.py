@@ -279,7 +279,7 @@ def _strategy_descriptions(scenario: NetworkScenario) -> list[list[Description]]
             try:
                 desc = encode_description(scenario.theory, sigma=st.state, ensemble=st.ensemble)
             except ValueError as exc:
-                raise ScenarioError(f"honest sender {pos} holds a non-free state: {exc}") from exc
+                raise ScenarioError(f"honest sender {pos}: {exc}") from exc
             if st.claimed is not None:
                 claimed = _to_description(scenario.theory, st.claimed)
                 if claimed.label != desc.label:
@@ -354,9 +354,9 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     The conditional channel and the link noise are products of one map per
     message+system pair, so each strategy's block is censored on its own and
     the receiver is the Kronecker product of the small outputs; the joint
-    sender state is never built. The judges read the censored blocks, so
-    cuts and register marginals cost what the blocks cost; the dense
-    receiver is built for the report.
+    sender state is never built. The judges read each censored block, or
+    each register marginal, on its own; the dense receiver is built for the
+    report only.
     """
     try:
         theory = qrt.get_theory(scenario.theory)
@@ -408,7 +408,7 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     else:
         mat = linalg.kron_all(outputs)
         receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
-    verdicts, notes = theory.judge(receiver, blocks)
+    verdicts, notes = theory.judge(blocks)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive
     return CensorshipReport(

@@ -181,18 +181,12 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
     return w[order], _canonicalize_column(v[:, order])
 
 
-def extreme_eigenvalues(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[float, float]:
-    """Smallest and largest eigenvalue of a Hermitian matrix."""
+def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
+    """Smallest eigenvalue of a Hermitian matrix."""
     arr = _square(mat)
     if _defect(arr) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)  # ascending
-    return float(w[0]), float(w[-1])
-
-
-def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
-    return extreme_eigenvalues(mat, tol)[0]
+    return float(np.linalg.eigvalsh((arr + arr.conj().T) / 2)[0])
 
 
 def is_positive_semidefinite(mat: np.ndarray, tol: float = TOL_PSD) -> bool:

@@ -1,5 +1,5 @@
-"""Resource theories: free-state membership, discord, CHSH, Born statistics,
-free-state descriptions, and the registry of theories.
+"""Resource theories: free-state membership, discord, CHSH, free-state
+descriptions, receiver judges, and the registry of theories.
 
 Five concrete theories are registered in ``THEORIES``, and each entry holds
 everything the censorship engine knows about its theory. Coherence and
@@ -49,6 +49,16 @@ class ResourceVerdict:
     decisive: bool = True
 
 
+def _worst(verdicts: Sequence[ResourceVerdict], witness=max) -> ResourceVerdict:
+    """One verdict from the verdicts of a product's blocks (or of a state's
+    cuts): free exactly when every one is free, decisive when every one is or
+    when one is not free, and the worst witness, the largest unless ``witness``
+    is ``min``."""
+    is_free = all(v.is_free for v in verdicts)
+    decisive = not is_free or all(v.decisive for v in verdicts)
+    return ResourceVerdict(is_free, witness(v.witness_value for v in verdicts), decisive)
+
+
 def is_free_coherence(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
     """Free iff diagonal in the fixed incoherent (computational) basis."""
     off = rho.mat - np.diag(np.diag(rho.mat))
@@ -60,14 +70,6 @@ def is_free_imaginarity(rho: DensityOperator, tol: float = TOL_DIAG) -> Resource
     """Free iff all entries are real in the fixed reference basis."""
     witness = float(np.abs(rho.mat.imag).max())
     return ResourceVerdict(witness <= tol, witness)
-
-
-def _cut_verdict(witness: float, d_side: int, d_rest: int, tol: float) -> ResourceVerdict:
-    # PPT is sufficient for separability only on 2x2 and 2x3 splits; a
-    # negative witness is decisive in any dimension.
-    ppt = witness >= -tol
-    decisive = (not ppt) or sorted((d_side, d_rest)) in ([2, 2], [2, 3])
-    return ResourceVerdict(ppt, witness, decisive)
 
 
 def is_free_entanglement(
@@ -85,60 +87,32 @@ def is_free_entanglement(
     if not side or len(side) >= n or any(k < 0 or k >= n for k in side):
         raise ValueError(f"cut {cut} is not a nontrivial bipartition of {n} factors")
     pt = linalg.partial_transpose(rho.mat, rho.dims, side)
+    witness = linalg.min_eigenvalue(pt)
     d_side = math.prod(rho.dims[k] for k in side)
-    return _cut_verdict(linalg.min_eigenvalue(pt), d_side, rho.dim // d_side, tol)
+    ppt = witness >= -tol
+    decisive = (not ppt) or sorted((d_side, rho.dim // d_side)) in ([2, 2], [2, 3])
+    return ResourceVerdict(ppt, witness, decisive)
 
 
-def ppt_all_cuts(
-    factors: DensityOperator | Sequence[DensityOperator], tol: float = TOL_PPT
-) -> ResourceVerdict:
-    """PPT across every nontrivial bipartition of a product of states; the
-    worst cut sets the verdict. A single state is a one-factor product.
+def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
+    """PPT across every nontrivial bipartition of a state's factors.
 
-    (A (x) B)^G = A^G (x) B^G for the partial transpose G on a cut, so each
-    factor is transposed only on the cut induced on its own tensor factors,
-    and the product's smallest eigenvalue is the smallest product of the
-    factors' extreme eigenvalues there (Peres, PRL 77, 1413, 1996). A cut and
-    its complement give transposes with one spectrum, so they share a cache
-    entry; the empty and the full induced cut give the factor's own spectrum.
+    The first cut that fails decides; otherwise the state is free, decisive
+    when every cut is, with the smallest witness of its cuts. A cut and its
+    complement give transposes with one spectrum, so only one of them is run.
     """
-    rhos = [factors] if isinstance(factors, DensityOperator) else list(factors)
-    dims = tuple(d for rho in rhos for d in rho.dims)
-    n = len(dims)
+    n = len(rho.dims)
     if n < 2:
         raise ValueError("need at least two factors")
-    owner = [(f, j) for f, rho in enumerate(rhos) for j in range(len(rho.dims))]
-    spectra: list[dict[tuple[int, ...], tuple[float, float]]] = [{} for _ in rhos]
-    total = math.prod(dims)
-    worst: ResourceVerdict | None = None
-    all_decisive = True
+    verdicts = []
     for r in range(1, n // 2 + 1):
         for side in combinations(range(n), r):
             if r == n / 2 and side[0] != 0:
-                continue  # complements give the same transpose spectrum
-            induced: list[list[int]] = [[] for _ in rhos]
-            for k in side:
-                f, j = owner[k]
-                induced[f].append(j)
-            low = high = 1.0
-            for rho, cache, local in zip(rhos, spectra, induced):
-                key = tuple(local)
-                if key not in cache:
-                    pt = linalg.partial_transpose(rho.mat, rho.dims, local)
-                    rest = tuple(j for j in range(len(rho.dims)) if j not in local)
-                    cache[key] = cache[rest] = linalg.extreme_eigenvalues(pt)
-                lo, hi = cache[key]
-                ends = (low * lo, low * hi, high * lo, high * hi)
-                low, high = min(ends), max(ends)
-            d_side = math.prod(dims[k] for k in side)
-            v = _cut_verdict(low, d_side, total // d_side, tol)
-            if not v.is_free:
-                return ResourceVerdict(False, v.witness_value, True)
-            all_decisive = all_decisive and v.decisive
-            if worst is None or v.witness_value < worst.witness_value:
-                worst = v
-    assert worst is not None
-    return ResourceVerdict(True, worst.witness_value, all_decisive)
+                continue
+            verdicts.append(is_free_entanglement(rho, side, tol))
+            if not verdicts[-1].is_free:
+                return verdicts[-1]
+    return _worst(verdicts, min)
 
 
 @dataclass(frozen=True)
@@ -290,37 +264,6 @@ def isotropic_local_range(d: int) -> tuple[Fraction, Fraction]:
     lower = Fraction(1, 1 + d)
     upper = Fraction((3 * d - 1) * (d - 1) ** (d - 1), (d + 1) * d**d)
     return lower, upper
-
-
-def _check_povm(povm: Sequence[np.ndarray], dim: int, tol: float = 1e-9) -> list[np.ndarray]:
-    ops = [linalg.as_complex_matrix(m) for m in povm]
-    if not ops or any(m.shape != (dim, dim) for m in ops):
-        raise ValueError(f"POVM elements must be {dim}x{dim} matrices")
-    total = np.zeros((dim, dim), dtype=complex)
-    for m in ops:
-        if linalg.hermiticity_defect(m) > tol:
-            raise ValueError("POVM element is not Hermitian")
-        if linalg.min_eigenvalue(m) < -tol:
-            raise ValueError("POVM element is not positive semidefinite")
-        total += m
-    if float(np.abs(total - np.eye(dim)).max()) > tol:
-        raise ValueError("POVM elements do not sum to the identity")
-    return ops
-
-
-def born_probabilities(
-    rho: DensityOperator, povm_x: Sequence[np.ndarray], povm_y: Sequence[np.ndarray]
-) -> np.ndarray:
-    """Outcome table p(a, b) = Tr(rho (M_a (x) N_b)) for local POVMs."""
-    if len(rho.dims) != 2:
-        raise ValueError("need a bipartite state")
-    mx = _check_povm(povm_x, rho.dims[0])
-    ny = _check_povm(povm_y, rho.dims[1])
-    table = np.empty((len(mx), len(ny)))
-    for a, m in enumerate(mx):
-        for b, n in enumerate(ny):
-            table[a, b] = float(np.trace(rho.mat @ np.kron(m, n)).real)
-    return np.clip(table, 0.0, None)
 
 
 # ------------------------------------------------------------ descriptions
@@ -531,22 +474,37 @@ def _block_marginals(blocks: Sequence[Block]) -> list[DensityOperator]:
     return marginals
 
 
-def _judge_whole(name: str) -> Callable[[DensityOperator, Sequence[Block]], Verdicts]:
-    # The affine tests read single entries, so they judge the receiver itself.
-    return lambda receiver, blocks: ({name: THEORIES[name].free(receiver)}, ())
+def _judge_affine(name: str) -> Callable[[Sequence[Block]], Verdicts]:
+    # Every block has a positive diagonal entry, so a product is diagonal,
+    # or real, exactly when every block is.
+    return lambda blocks: ({name: _worst([THEORIES[name].free(b) for b, _ in blocks])}, ())
 
 
-def _judge_entanglement(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
-    return {"entanglement": ppt_all_cuts([block for block, _ in blocks])}, ()
+def _ppt_block(block: DensityOperator) -> ResourceVerdict:
+    if len(block.dims) == 1:  # no cut: free, with the smallest eigenvalue as witness
+        return ResourceVerdict(True, linalg.min_eigenvalue(block.mat))
+    return ppt_all_cuts(block)
 
 
-def _judge_discord(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
-    if len(receiver.dims) == 2:
-        cq = is_classical_quantum(receiver)
-        witness = discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
-        return {"discord": ResourceVerdict(cq.is_free, witness, cq.decisive)}, ()
-    checks = [is_classical_quantum(m) for m in _block_marginals(blocks)]
-    verdict = ResourceVerdict(all(c.is_free for c in checks), max(c.witness_value for c in checks))
+def _ppt_blocks(blocks: Sequence[Block]) -> ResourceVerdict:
+    # A product is PPT across every cut exactly when each block is PPT across
+    # every cut of its own factors (Peres, PRL 77, 1413, 1996); tracing out the
+    # other blocks, a local operation, gives the converse.
+    return _worst([_ppt_block(b) for b, _ in blocks], min)
+
+
+def _discord_verdict(marginal: DensityOperator) -> ResourceVerdict:
+    # Free when classical-quantum; a two-qubit witness is the discord in nats.
+    cq = is_classical_quantum(marginal)
+    witness = discord(marginal) if marginal.dims == (2, 2) else cq.witness_value
+    return ResourceVerdict(cq.is_free, witness, cq.decisive)
+
+
+def _judge_discord(blocks: Sequence[Block]) -> Verdicts:
+    marginals = _block_marginals(blocks)
+    verdict = _worst([_discord_verdict(m) for m in marginals])
+    if len(marginals) == 1:
+        return {"discord": verdict}, ()
     return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
 
 
@@ -557,24 +515,22 @@ def _isotropic_weight(marginal: DensityOperator) -> float:
     return (d * d * overlap - 1.0) / (d * d - 1.0)
 
 
-def _judge_locality(receiver: DensityOperator, blocks: Sequence[Block]) -> Verdicts:
+def _judge_locality(blocks: Sequence[Block]) -> Verdicts:
     notes: list[str] = []
-    worst_m = 0.0
+    marginals = _block_marginals(blocks)
     lower, upper = (float(x) for x in isotropic_local_range(2))
-    for k, marg in enumerate(_block_marginals(blocks)):
+    for k, marg in enumerate(marginals):
         if marg.dims != (2, 2):
             raise ValueError("locality verdicts support two-qubit registers only")
-        worst_m = max(worst_m, chsh_parameter(marg))
         if lower - 1e-9 <= _isotropic_weight(marg) <= upper + 1e-9:
             notes.append(
                 f"activation risk: receiver marginal {k} sits in the entangled-but-"
                 f"local window ({lower:.6f}, {upper:.6f}]; "
                 "copies of it can exhibit nonlocality jointly"
             )
-    violated = worst_m > 1.0 + TOL_CHSH
     verdicts = {
-        "locality": ResourceVerdict(not violated, worst_m, decisive=violated),
-        "entanglement": ppt_all_cuts([block for block, _ in blocks]),
+        "locality": _worst([is_free_locality(m) for m in marginals]),
+        "entanglement": _ppt_blocks(blocks),
     }
     notes.append("locality breach determination is limited to per-pair CHSH")
     return verdicts, tuple(notes)
@@ -597,9 +553,10 @@ class ResourceTheory:
     excess       how far a state lies outside the free set; 0 on free states
     encode       (state, ensemble) -> Description of a free state; raises
                  ValueError on resource states
-    judge        (receiver, blocks) -> (verdicts, notes), where the receiver
-                 is the Kronecker product of the censored blocks, each given
-                 with the number of registers it spans
+    judge        blocks -> (verdicts, notes) of the receiver, the Kronecker
+                 product of the censored blocks, each given with the number
+                 of registers it spans; each block, or each register
+                 marginal, is judged on its own
     sample_free  (dim, rng) -> random free state; present exactly for the
                  theories that eigenbasis dephasing censors
     """
@@ -609,7 +566,7 @@ class ResourceTheory:
     free: Callable[[DensityOperator], ResourceVerdict]
     excess: Callable[[DensityOperator], float]
     encode: Callable[[DensityOperator | None, Sequence | None], Description]
-    judge: Callable[[DensityOperator, Sequence[Block]], Verdicts]
+    judge: Callable[[Sequence[Block]], Verdicts]
     sample_free: Callable[[int, np.random.Generator], DensityOperator] | None = None
 
 
@@ -623,7 +580,7 @@ THEORIES = {
         free=is_free_coherence,
         excess=lambda rho: is_free_coherence(rho).witness_value,
         encode=_encode_coherence,
-        judge=_judge_whole("coherence"),
+        judge=_judge_affine("coherence"),
         sample_free=_sample_diagonal,
     ),
     "imaginarity": ResourceTheory(
@@ -632,7 +589,7 @@ THEORIES = {
         free=is_free_imaginarity,
         excess=lambda rho: is_free_imaginarity(rho).witness_value,
         encode=_encode_imaginarity,
-        judge=_judge_whole("imaginarity"),
+        judge=_judge_affine("imaginarity"),
         sample_free=lambda dim, rng: random_real_density(dim, dim, rng),
     ),
     "entanglement": ResourceTheory(
@@ -641,7 +598,7 @@ THEORIES = {
         free=lambda rho: ppt_all_cuts(rho),
         excess=lambda rho: -min(0.0, ppt_all_cuts(rho).witness_value),
         encode=_encode_entanglement,
-        judge=_judge_entanglement,
+        judge=lambda blocks: ({"entanglement": _ppt_blocks(blocks)}, ()),
     ),
     "discord": ResourceTheory(
         "discord",

@@ -1,4 +1,4 @@
-"""JSON encoding of states, scenarios, and reports.
+"""JSON reading of scenarios and writing of states and reports.
 
 Matrices travel as row-major real/imaginary part tables. Report encoding is
 deterministic (sorted keys, shortest round-trip floats) so a fixed seed and
@@ -102,21 +102,6 @@ def ensemble_from_json(obj: Any) -> list:
     return terms
 
 
-def ensemble_to_json(ensemble: list) -> list:
-    out = []
-    for weight, factors in ensemble:
-        out.append(
-            {
-                "weight": float(weight),
-                "factors": [
-                    [[float(z.real), float(z.imag)] for z in np.asarray(f, dtype=complex)]
-                    for f in factors
-                ],
-            }
-        )
-    return out
-
-
 def claim_from_json(obj: Any) -> Claim:
     if not isinstance(obj, dict):
         raise ScenarioError("claim must be an object with 'state' or 'ensemble'")
@@ -147,18 +132,6 @@ def noise_from_json(obj: Any) -> ChannelSpec:
     if kind == "dephasing" and "basis" in params:
         params["basis"] = matrix_from_json(params["basis"], "noise dephasing basis")
     return ChannelSpec(kind, params)
-
-
-def noise_to_json(spec: ChannelSpec) -> dict:
-    params: dict[str, Any] = {}
-    for key, value in spec.params.items():
-        if isinstance(value, DensityOperator):
-            params[key] = state_to_json(value)
-        elif isinstance(value, np.ndarray):
-            params[key] = matrix_to_json(value)
-        else:
-            params[key] = value
-    return {"kind": spec.kind, "params": params}
 
 
 def _strategy_from_json(obj: Any, pos: int) -> SenderStrategy:
@@ -210,42 +183,6 @@ def scenario_from_json(obj: Any) -> NetworkScenario:
         seed=None if seed is None else _integer(seed, "'seed'"),
         rng_algorithm=str(obj.get("rng", "pcg64")),
     )
-
-
-def _strategy_to_json(st: SenderStrategy) -> dict:
-    out: dict[str, Any] = {"kind": st.kind}
-    if st.state is not None:
-        out["state"] = state_to_json(st.state)
-    if st.ensemble is not None:
-        out["ensemble"] = ensemble_to_json(st.ensemble)
-    if st.claimed is not None:
-        if isinstance(st.claimed, (list, tuple)):
-            out["claimed"] = [_claim_to_json(c) for c in st.claimed]
-        else:
-            out["claimed"] = _claim_to_json(st.claimed)
-    if st.spans != 1:
-        out["spans"] = st.spans
-    return out
-
-
-def _claim_to_json(claim) -> dict:
-    if isinstance(claim, Claim):
-        if claim.ensemble is not None:
-            return {"ensemble": ensemble_to_json(claim.ensemble)}
-        if claim.state is not None:
-            return {"state": state_to_json(claim.state)}
-    raise ScenarioError("only Claim objects serialize; encode descriptions on load")
-
-
-def scenario_to_json(scenario: NetworkScenario) -> dict:
-    return {
-        "theory": scenario.theory,
-        "channel_kind": scenario.channel_kind,
-        "senders": [_strategy_to_json(s) for s in scenario.strategies],
-        "noise": noise_to_json(scenario.noise) if scenario.noise is not None else None,
-        "seed": scenario.seed,
-        "rng": scenario.rng_algorithm,
-    }
 
 
 def verdict_to_json(v: ResourceVerdict) -> dict:

@@ -11,7 +11,6 @@ from . import linalg
 from .linalg import DimSignature
 
 TOL_TRACE = 1e-9
-PURE_NORM_TOL = 1e-10
 FROM_PURE_NORM_TOL = 1e-6
 
 RNG_ALGORITHMS = ("pcg64",)
@@ -116,35 +115,10 @@ class DensityOperator:
         return DensityOperator(reduced, tuple(self.dims[k] for k in kept))
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit-norm amplitude vector with a subsystem-dimension signature."""
-
-    vec: np.ndarray
-    dims: DimSignature
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.vec, dtype=complex).reshape(-1)
-        if not np.isfinite(arr).all():
-            raise ValueError("amplitudes contain non-finite entries")
-        sig = linalg.check_signature(self.dims, arr.size)
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > PURE_NORM_TOL:
-            raise ValueError(f"amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "vec", arr)
-        object.__setattr__(self, "dims", sig)
-
-
-def from_pure(psi: PureState | np.ndarray, dims: Sequence[int] | None = None) -> DensityOperator:
+def from_pure(psi: np.ndarray, dims: Sequence[int] | None = None) -> DensityOperator:
     """Rank-one density operator |psi><psi| from an amplitude vector."""
-    if isinstance(psi, PureState):
-        vec = psi.vec
-        sig = psi.dims if dims is None else tuple(dims)
-    else:
-        vec = np.asarray(psi, dtype=complex).reshape(-1)
-        sig = tuple(dims) if dims is not None else (vec.size,)
+    vec = np.asarray(psi, dtype=complex).reshape(-1)
+    sig = tuple(dims) if dims is not None else (vec.size,)
     norm = float(np.linalg.norm(vec))
     if abs(norm - 1.0) > FROM_PURE_NORM_TOL:
         raise ValueError(f"amplitudes not normalized: |norm - 1| = {abs(norm - 1.0):.3e}")

@@ -15,9 +15,12 @@ joint, and sums the censored blocks over every combination of message
 outcomes with Kronecker-lifted branch Kraus operators. Its cost grows like
 (m*d)^(3N) for N pairs, so use it only on joints a few hundred wide at most.
 
-The dense verdicts judge the whole receiver: PPT partially transposes and
-diagonalizes it once per cut, and each register marginal is a partial trace
-of it. qcensor judges the censored blocks the receiver is a product of.
+The dense verdicts judge the whole receiver: the affine tests read all of
+its entries, PPT partially transposes and diagonalizes it once per cut, and
+each register marginal is a partial trace of it. qcensor judges each
+censored block the receiver is a product of on its own. The verdicts agree,
+but a dense witness shrinks with the other blocks' entries and eigenvalues,
+so the two agree on freeness only away from a theory's tolerance.
 
 The validation oracles coerce and check a matrix at every step, as qcensor
 did before each public entry coerced once: a finiteness check per part, a
@@ -270,19 +273,23 @@ def dense_register_marginals(receiver: DensityOperator, n_registers: int) -> lis
 
 
 def dense_judge(theory: str, receiver: DensityOperator, n_registers: int):
-    """(verdicts, notes) of ``qrt.THEORIES[theory].judge`` from the dense receiver."""
+    """(verdicts, notes) of the dense receiver, in the units of
+    ``qrt.THEORIES[theory].judge``: the affine tests and PPT on the whole
+    receiver, discord and locality on each of its register marginals."""
+    if theory in ("coherence", "imaginarity"):
+        return {theory: qrt.THEORIES[theory].free(receiver)}, ()
     if theory == "entanglement":
         return {"entanglement": dense_ppt_all_cuts(receiver)}, ()
     marginals = dense_register_marginals(receiver, n_registers)
     if theory == "discord":
-        if len(receiver.dims) == 2:
-            cq = qrt.is_classical_quantum(receiver)
-            witness = qrt.discord(receiver) if receiver.dims == (2, 2) else cq.witness_value
-            return {"discord": qrt.ResourceVerdict(cq.is_free, witness, cq.decisive)}, ()
         checks = [qrt.is_classical_quantum(m) for m in marginals]
-        verdict = qrt.ResourceVerdict(
-            all(c.is_free for c in checks), max(c.witness_value for c in checks)
-        )
+        witnesses = [
+            qrt.discord(m) if m.dims == (2, 2) else c.witness_value
+            for m, c in zip(marginals, checks)
+        ]
+        verdict = qrt.ResourceVerdict(all(c.is_free for c in checks), max(witnesses))
+        if n_registers == 1:
+            return {"discord": verdict}, ()
         return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
     if theory != "locality":
         raise ValueError(f"no dense judge for {theory!r}")

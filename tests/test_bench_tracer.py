@@ -1,5 +1,5 @@
 """The benchmark's span tracer still finds the channel, eigendecomposition,
-description and discord layers it reports.
+description, discord and receiver-judge layers it reports.
 
 ``bench/spans.py`` wraps qcensor's functions and methods by name and counts
 Kraus operators on every ``KrausChannel`` it sees; a refactor that renames or
@@ -56,3 +56,10 @@ def test_tracer_sees_the_discord_layer(capsys):
     code, totals = _traced_totals(["demo", "discord_breach"], capsys)
     assert code == EXIT_BREACH
     assert totals.get("qrt.discord.calls", 0) > 0
+
+
+def test_tracer_sees_the_receiver_judges(capsys):
+    code, totals = _traced_totals(["demo", "nonlocal_activation"], capsys)
+    assert code == EXIT_OK
+    for metric in ("qrt.ppt_all_cuts.calls", "qrt.chsh_parameter.calls"):
+        assert totals.get(metric, 0) > 0, metric

@@ -351,8 +351,38 @@ def _ensemble_terms(*shapes):
         (_with(_honest_imaginarity_scenario(), theory="magic"), ""),
         (_with(_honest_imaginarity_scenario(), theory=5), ""),
         (_with(_discord_breach_scenario(), senders__0__state__dims="322"), ""),
-        (_ensemble_terms((2, 2), (2, 3)), "(2, 3) do not match (2, 2)"),
-        (_ensemble_terms((2, 2), (2, 2, 2)), "(2, 2, 2) do not match (2, 2)"),
+        (
+            _ensemble_terms((2, 2), (2, 3)),
+            "honest sender 0: ensemble factor dimensions (2, 3) do not match (2, 2)",
+        ),
+        (
+            _ensemble_terms((2, 2), (2, 2, 2)),
+            "honest sender 0: ensemble factor dimensions (2, 2, 2) do not match (2, 2)",
+        ),
+        (
+            _with(
+                _entanglement_honest(),
+                senders__0__ensemble=[
+                    {"weight": 1.0, "factors": [[[1, 0], [1, 0]], [[1, 0], [0, 0]]]}
+                ],
+            ),
+            "honest sender 0: ensemble amplitudes are not normalized",
+        ),
+        (
+            _with(_entanglement_honest(), senders__0__ensemble__0__weight=0.5),
+            "honest sender 0: ensemble weights sum to 0.5, expected 1",
+        ),
+        (
+            _with(
+                _honest_imaginarity_scenario(),
+                senders__0__state={
+                    "dims": [2],
+                    "re": [[0.5, 0.0], [0.0, 0.5]],
+                    "im": [[0.0, -0.25], [0.25, 0.0]],
+                },
+            ),
+            "honest sender 0: state is not real",
+        ),
     ],
     ids=[
         "seed-not-int",
@@ -374,6 +404,9 @@ def _ensemble_terms(*shapes):
         "dims-string",
         "ragged-factor-dims",
         "ragged-factor-count",
+        "unnormalized-amplitudes",
+        "weights-not-summing-to-one",
+        "honest-state-not-real",
     ],
 )
 def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_path, capsys):
@@ -384,6 +417,7 @@ def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_pa
     assert err.startswith("invalid scenario:")
     assert "Traceback" not in err
     assert detail in err.splitlines()[0]
+    assert "non-free" not in err  # a malformed description is not a resource state
 
 
 def _ensemble_term(factors):

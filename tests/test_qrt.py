@@ -9,7 +9,6 @@ from qcensor.channels import apply, dephasing_channel, imaginarity_rd_map
 from qcensor.qrt import (
     DiscordOptions,
     THEORIES,
-    born_probabilities,
     chsh_parameter,
     discord,
     get_theory,
@@ -361,43 +360,3 @@ def test_local_range_ordering_sweep():
 def test_local_range_rejects_small_d():
     with pytest.raises(ValueError):
         isotropic_local_range(1)
-
-
-# ------------------------------------------------------------------- born
-
-
-def test_born_bell_correlations():
-    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    table = born_probabilities(bell_phi_plus(2), proj, proj)
-    assert abs(table[0, 0] - 0.5) < 1e-12
-    assert abs(table[1, 1] - 0.5) < 1e-12
-    assert abs(table[0, 1]) < 1e-12
-
-
-def test_born_product_state_factorizes():
-    rng = make_rng(21)
-    a = random_density(2, 2, rng)
-    b = random_density(2, 2, rng)
-    proj = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
-    table = born_probabilities(tensor(a, b), proj, proj)
-    pa = np.array([a.mat[0, 0].real, a.mat[1, 1].real])
-    pb = np.array([b.mat[0, 0].real, b.mat[1, 1].real])
-    assert np.abs(table - np.outer(pa, pb)).max() < 1e-12
-
-
-def test_born_completeness():
-    rng = make_rng(22)
-    rho = random_density(4, 4, rng, dims=(2, 2))
-    u, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
-    povm = [np.outer(u[:, k], u[:, k].conj()) for k in range(2)]
-    table = born_probabilities(rho, povm, povm)
-    assert abs(table.sum() - 1.0) < 1e-10
-    assert (table >= 0).all()
-
-
-def test_born_rejects_invalid_povm():
-    rho = bell_phi_plus(2)
-    with pytest.raises(ValueError):
-        born_probabilities(rho, [np.eye(2) * 0.5], [np.eye(2)])
-    with pytest.raises(ValueError):
-        born_probabilities(rho, [np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], [np.eye(2)])

@@ -11,13 +11,11 @@ from qcensor.channels import ChannelSpec
 from qcensor.demos import discord_breach_demo
 from qcensor.serialize import (
     ensemble_from_json,
-    ensemble_to_json,
     noise_from_json,
     report_json_str,
     report_pretty,
     report_to_json,
     scenario_from_json,
-    scenario_to_json,
     state_from_json,
     state_to_json,
 )
@@ -47,11 +45,17 @@ def test_state_from_json_rejects_garbage():
 
 
 def test_ensemble_roundtrip():
-    ens = [(0.25, (PLUS, MINUS)), (0.75, (MINUS, PLUS))]
-    again = ensemble_from_json(ensemble_to_json(ens))
+    plus, minus = [[PLUS[0], 0.0], [PLUS[1], 0.0]], [[MINUS[0], 0.0], [MINUS[1], 0.0]]
+    i_plus = [[0.0, PLUS[0]], [0.0, PLUS[1]]]
+    obj = [
+        {"weight": 0.25, "factors": [plus, minus]},
+        {"weight": 0.75, "factors": [minus, i_plus]},
+    ]
+    again = ensemble_from_json(obj)
     assert len(again) == 2
     assert abs(again[0][0] - 0.25) < 1e-15
     assert np.abs(again[1][1][0] - MINUS).max() < 1e-15
+    assert np.abs(again[1][1][1] - 1j * PLUS).max() < 1e-15
 
 
 def test_noise_spec_parsing():
@@ -90,12 +94,28 @@ def test_scenario_roundtrip_and_run():
     }
     scenario = scenario_from_json(scenario_obj)
     assert scenario.seed == 11
+    assert scenario.rng_algorithm == "pcg64" and scenario.noise is None
+    (sender,) = scenario.strategies
+    assert sender.kind == "untruthful" and sender.spans == 1
+    assert np.abs(sender.state.mat - bell_phi_plus(2).mat).max() < 1e-15
+    ((weight, (first, second)),) = sender.claimed.ensemble
+    assert weight == 1.0
+    assert np.abs(first - PLUS).max() < 1e-15 and np.abs(second - MINUS).max() < 1e-15
     report = run_protocol(scenario)
     assert not report.breach
-    # writer -> reader closes the loop
-    again = scenario_from_json(scenario_to_json(scenario))
-    report2 = run_protocol(again)
-    assert np.abs(report.receiver_state.mat - report2.receiver_state.mat).max() < 1e-15
+    # the receiver is the claimed product |+><+| (x) |-><-|
+    want = np.kron(np.outer(PLUS, PLUS), np.outer(MINUS, MINUS))
+    assert np.abs(report.receiver_state.mat - want).max() < 1e-15
+
+    noisy = scenario_from_json(
+        {
+            **scenario_obj,
+            "rng": "PCG64",
+            "noise": {"kind": "amplitude_damping", "params": {"gamma": 0.25}},
+        }
+    )
+    assert noisy.rng_algorithm == "PCG64"
+    assert noisy.noise.kind == "amplitude_damping" and noisy.noise.params == {"gamma": 0.25}
 
 
 def test_scenario_missing_fields():

@@ -4,7 +4,6 @@ import pytest
 from qcensor import linalg
 from qcensor.states import (
     DensityOperator,
-    PureState,
     bell_phi_plus,
     from_pure,
     isotropic,
@@ -40,13 +39,6 @@ def test_from_pure_random_purity():
 def test_from_pure_rejects_unnormalized():
     with pytest.raises(ValueError):
         from_pure(np.array([1.0, 1.0]))
-
-
-def test_pure_state_norm_invariant():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1e-4]), (2,))
-    ok = PureState(np.array([1.0, 0.0]), (2,))
-    assert ok.dims == (2,)
 
 
 def test_bell_qubits_matches_expected_matrix():
