@@ -20,7 +20,7 @@ from .linalg import DimSignature
 from .qrt import Description
 from .states import RNG_ALGORITHMS, DensityOperator, make_rng, maximally_mixed
 
-# Widest receiver state run_protocol builds; wider scenarios exit 2 up front.
+# Widest receiver table a report renders; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
 
 
@@ -148,19 +148,18 @@ def build_conditional_channel(
     )
 
 
-def _pair_transfer(
-    branches: Sequence[KrausChannel], noise: KrausChannel | None = None
-) -> np.ndarray:
+def _pair_transfer(ch: ConditionalRDChannel, noise: KrausChannel | None = None) -> np.ndarray:
     """Transfer matrix of one message+system pair.
 
     The message register is read in its label basis (cross-label coherences
     are discarded) and outcome i applies branch i after the link noise:
     T[(a,b),((i,s),(i',s'))] = delta_ii' (T_Bi T_N)[(a,b),(s,s')].
     """
-    m = len(branches)
-    d_in, d_out = branches[0].in_dim, branches[0].out_dim
+    m = ch.message_dim
+    d_in, d_out = ch.default_branch.in_dim, ch.default_branch.out_dim
     t = np.zeros((d_out, d_out, m, d_in, m, d_in), dtype=complex)
-    for i, branch in enumerate(branches):
+    for i in range(m):
+        branch = ch.branch_for_index(i)
         t_i = branch.transfer if noise is None else branch.transfer @ noise.transfer
         t[:, :, i, :, i, :] = t_i.reshape(d_out, d_out, d_in, d_in)
     return t.reshape(d_out * d_out, (m * d_in) ** 2)
@@ -168,12 +167,13 @@ def _pair_transfer(
 
 def _censor_pairs(
     mat: np.ndarray, dims: DimSignature, transfer: np.ndarray, n_pairs: int, sys: DimSignature
-) -> np.ndarray:
+) -> DensityOperator:
+    """Censor ``n_pairs`` message+system pairs; the Hermitized state on the systems."""
     # Pair k starts at factor k*len(sys) once pairs 0..k-1 are censored.
     for k in range(n_pairs):
         start = k * len(sys)
         mat, dims = linalg.apply_transfer(mat, dims, transfer, start, start + 1 + len(sys), sys)
-    return mat
+    return DensityOperator((mat + mat.conj().T) / 2, dims)
 
 
 def _validate_joint_layout(
@@ -195,11 +195,7 @@ def _validate_joint_layout(
     return n
 
 
-def apply_censorship(
-    ch: ConditionalRDChannel,
-    joint: DensityOperator,
-    labels: Sequence[bytes] | None = None,
-) -> DensityOperator:
+def apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator) -> DensityOperator:
     """Censor a joint state on alternating message/system registers.
 
     Each message register is projected onto its label basis (cross-label
@@ -207,11 +203,8 @@ def apply_censorship(
     that sender's system block. The output lives on the system registers
     only and has unit trace.
     """
-    label_basis = tuple(labels) if labels is not None else ch.labels
-    n = _validate_joint_layout(joint, len(label_basis) + 1, ch.system_dims)
-    branches = [ch.branch_for_label(label) for label in label_basis] + [ch.default_branch]
-    out = _censor_pairs(joint.mat, joint.dims, _pair_transfer(branches), n, ch.system_dims)
-    return DensityOperator((out + out.conj().T) / 2, ch.system_dims * n)
+    n = _validate_joint_layout(joint, ch.message_dim, ch.system_dims)
+    return _censor_pairs(joint.mat, joint.dims, _pair_transfer(ch), n, ch.system_dims)
 
 
 @dataclass
@@ -251,12 +244,19 @@ class NetworkScenario:
 
 @dataclass
 class CensorshipReport:
-    receiver_state: DensityOperator
+    """Verdicts on the receiver, the product of each strategy's censored block."""
+
+    blocks: tuple[qrt.Block, ...]
     verdicts: dict[str, qrt.ResourceVerdict]
     breach: bool
     distances: list[dict] | None = None
     notes: tuple[str, ...] = ()
     extras: dict = field(default_factory=dict)
+
+    def render_receiver(self) -> tuple[np.ndarray, DimSignature]:
+        """The receiver matrix and its dims, for writing; not validated again."""
+        mat = linalg.kron_all(block.mat for block, _ in self.blocks)
+        return mat, tuple(d for block, _ in self.blocks for d in block.dims)
 
 
 def _to_description(theory: str, claim) -> Description:
@@ -353,10 +353,9 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
 
     The conditional channel and the link noise are products of one map per
     message+system pair, so each strategy's block is censored on its own and
-    the receiver is the Kronecker product of the small outputs; the joint
-    sender state is never built. The judges read each censored block, or
-    each register marginal, on its own; the dense receiver is built for the
-    report only.
+    the receiver is the Kronecker product of the small outputs; neither the
+    joint sender state nor the receiver is built. The judges read each
+    censored block, or each register marginal, on its own.
     """
     try:
         theory = qrt.get_theory(scenario.theory)
@@ -381,38 +380,29 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
             f"of dimension {reg_dim}); the limit is {MAX_RECEIVER_DIM}"
         )
     noise_ch = _build_link_noise(scenario.noise, sys) if scenario.noise is not None else None
-    transfer = _pair_transfer(
-        [channel.branch_for_index(i) for i in range(channel.message_dim)], noise_ch
-    )
-    outputs = []
+    transfer = _pair_transfer(channel, noise_ch)
     blocks: list[qrt.Block] = []
     distances: list[dict] | None = None if noise_ch is None else []
     sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
         block, dims, spans = _sender_block(pos, st, descs, channel)
-        outputs.append(_censor_pairs(block, dims, transfer, spans, sys))
-        hermitized = (outputs[-1] + outputs[-1].conj().T) / 2
-        blocks.append((DensityOperator(hermitized, sys * spans), spans))
+        censored = _censor_pairs(block, dims, transfer, spans, sys)
+        blocks.append((censored, spans))
         if distances is not None and st.kind == "honest":
             sent = st.state if st.state is not None else descs[0].state
             distances.append(
                 {
                     "sender": sender_pos,
                     "d_noisy": linalg.hs_distance(sent.mat, noise_ch.apply_matrix(sent.mat)),
-                    "d_censored": linalg.hs_distance(sent.mat, outputs[-1]),
+                    "d_censored": linalg.hs_distance(sent.mat, censored.mat),
                 }
             )
         sender_pos += spans
-    if len(blocks) == 1:  # a one-block product is the block, already checked
-        receiver = blocks[0][0]
-    else:
-        mat = linalg.kron_all(outputs)
-        receiver = DensityOperator((mat + mat.conj().T) / 2, sys * n_senders)
     verdicts, notes = theory.judge(blocks)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive
     return CensorshipReport(
-        receiver_state=receiver,
+        blocks=tuple(blocks),
         verdicts=verdicts,
         breach=breach,
         distances=distances,

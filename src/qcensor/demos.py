@@ -58,10 +58,10 @@ def bell_filter_demo() -> CensorshipReport:
         {
             "claimed_description": desc.label.decode(),
             "filtered_distance_to_claimed": linalg.hs_distance(
-                report.receiver_state.mat, claimed_state.mat
+                report.render_receiver()[0], claimed_state.mat
             ),
             "honest_roundtrip_distance": linalg.hs_distance(
-                honest_report.receiver_state.mat, claimed_state.mat
+                honest_report.render_receiver()[0], claimed_state.mat
             ),
         }
     )
@@ -82,7 +82,7 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     fixed = apply(branch, sigma)
     verdict = qrt.is_free_entanglement(receiver, cut=(0,))
     return CensorshipReport(
-        receiver_state=receiver,
+        blocks=((receiver, 1),),
         verdicts={"entanglement": verdict},
         breach=(not verdict.is_free) and verdict.decisive,
         notes=(
@@ -161,10 +161,11 @@ def nonlocal_activation_demo(n_senders: int = 2, p: float = 5 / 12) -> Censorshi
     )
     report = run_protocol(scenario)
     lower, upper = qrt.isotropic_local_range(2)
+    receiver, dims = report.render_receiver()
     worst = 0.0
     for k in range(n_senders):
-        marg = report.receiver_state.marginal([2 * k, 2 * k + 1])
-        worst = max(worst, linalg.hs_distance(marg.mat, sigma.mat))
+        marg = linalg.partial_trace(receiver, dims, [2 * k, 2 * k + 1])
+        worst = max(worst, linalg.hs_distance(marg, sigma.mat))
     report.extras.update(
         {
             "mixing_parameter": p,

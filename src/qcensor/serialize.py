@@ -193,9 +193,10 @@ def verdict_to_json(v: ResourceVerdict) -> dict:
     }
 
 
-def _report_fields(report: CensorshipReport, seed: int | None) -> dict:
-    # every report field but the receiver state
+def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
+    mat, dims = report.render_receiver()
     return {
+        "receiver_state": {"dims": list(dims), **matrix_to_json(mat)},
         "verdicts": {name: verdict_to_json(v) for name, v in report.verdicts.items()},
         "breach": bool(report.breach),
         "distances": report.distances,
@@ -203,10 +204,6 @@ def _report_fields(report: CensorshipReport, seed: int | None) -> dict:
         "extras": report.extras,
         "seed": seed,
     }
-
-
-def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
-    return {"receiver_state": state_to_json(report.receiver_state), **_report_fields(report, seed)}
 
 
 def _table_json(rows: list[list[float]], pad: str) -> str:
@@ -225,23 +222,23 @@ def report_json_str(report: CensorshipReport, seed: int | None = None) -> str:
     """``json.dumps(report_to_json(report, seed), sort_keys=True, indent=2)``
     and a newline, byte for byte.
 
-    The receiver's tables are written row by row, which ``DensityOperator``
-    allows because its entries are finite. The fields that sort before and
-    after ``receiver_state`` go through ``json.dumps`` as two objects, whose
-    items are spliced around it.
+    The receiver's tables are written row by row, which is exact because the
+    blocks' entries are finite and so are their products. The fields that
+    sort before and after ``receiver_state`` go through ``json.dumps`` as two
+    objects, whose items are spliced around it.
     """
-    fields = _report_fields(report, seed)
+    fields = report_to_json(report, seed)
+    rho = fields.pop("receiver_state")
     head = {k: v for k, v in fields.items() if k < "receiver_state"}
     tail = {k: v for k, v in fields.items() if k > "receiver_state"}
     # json.dumps writes a non-empty object as "{\n" + items + "\n}"
     head_items = json.dumps(head, sort_keys=True, indent=2)[:-2]
     tail_items = json.dumps(tail, sort_keys=True, indent=2)[2:]
-    rho = report.receiver_state
-    dims = json.dumps(list(rho.dims), indent=2).replace("\n", "\n    ")
+    dims = json.dumps(rho["dims"], indent=2).replace("\n", "\n    ")
     state = (
         f'{{\n    "dims": {dims},\n'
-        f'    "im": {_table_json(rho.mat.imag.tolist(), "    ")},\n'
-        f'    "re": {_table_json(rho.mat.real.tolist(), "    ")}\n  }}'
+        f'    "im": {_table_json(rho["im"], "    ")},\n'
+        f'    "re": {_table_json(rho["re"], "    ")}\n  }}'
     )
     return f'{head_items},\n  "receiver_state": {state},\n{tail_items}\n'
 
@@ -257,15 +254,18 @@ def report_pretty(report: CensorshipReport, seed: int | None = None) -> str:
     lines.append(f"breach: {'YES' if report.breach else 'no'}")
     if seed is not None:
         lines.append(f"seed: {seed}")
-    dims = "x".join(str(d) for d in report.receiver_state.dims)
-    lines.append(f"receiver state (dims {dims}):")
-    lines.append(_format_matrix(report.receiver_state.mat))
+    mat, dims = report.render_receiver()
+    lines.append(f"receiver state (dims {'x'.join(map(str, dims))}):")
+    lines.append(_format_matrix(mat))
+    # the discord witness is an entropy, in nats, on two-qubit registers only
+    block, spans = report.blocks[0]
+    two_qubit = block.dims[: len(block.dims) // spans] == (2, 2)
     lines.append("verdicts:")
     for name, v in sorted(report.verdicts.items()):
         status = "free" if v.is_free else "resource"
         qualifier = "decisive" if v.decisive else "necessary-condition only"
         extra = ""
-        if name == "discord":
+        if name == "discord" and two_qubit:
             extra = f" ({v.witness_value / np.log(2):.4g} bits)"
         lines.append(
             f"  {name}: {status}, witness {v.witness_value:.4g}{extra} [{qualifier}]"

@@ -93,10 +93,9 @@ def lifted_kraus_apply(
     return out
 
 
-def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator, labels=None):
+def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
     """Receiver matrix of ``apply_censorship`` by the message-combination loop."""
-    label_basis = tuple(labels) if labels is not None else ch.labels
-    message_dim = len(label_basis) + 1
+    message_dim = len(ch.labels) + 1
     n = _validate_joint_layout(joint, message_dim, ch.system_dims)
     group = 1 + len(ch.system_dims)
     n_factors = len(joint.dims)
@@ -104,11 +103,6 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator, lab
     total = reg_dim**n
     tensor = joint.mat.reshape(joint.dims + joint.dims)
     message_axes = [k * group for k in range(n)]
-
-    def branch_for(index: int) -> KrausChannel:
-        if 0 <= index < len(label_basis):
-            return ch.branch_for_label(label_basis[index])
-        return ch.default_branch
 
     out = np.zeros((total, total), dtype=complex)
     for combo in product(range(message_dim), repeat=n):
@@ -118,7 +112,8 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator, lab
             indexer[n_factors + message_axes[k]] = i
         block = tensor[tuple(indexer)].reshape(total, total)
         for k, i in enumerate(combo):
-            block = lifted_kraus_apply(block, branch_for(i), k, n, reg_dim)
+            branch = ch.branch_for_label(ch.labels[i]) if i < len(ch.labels) else ch.default_branch
+            block = lifted_kraus_apply(block, branch, k, n, reg_dim)
         out += block
     return (out + out.conj().T) / 2
 

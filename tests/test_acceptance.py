@@ -71,7 +71,7 @@ def test_criterion_01_bell_filter():
     report = bell_filter_demo()
     claimed = tensor(from_pure(PLUS), from_pure(MINUS))
     filtered = report.extras["filtered_distance_to_claimed"]
-    entrywise = float(np.abs(report.receiver_state.mat - claimed.mat).max())
+    entrywise = float(np.abs(report.render_receiver()[0] - claimed.mat).max())
     roundtrip = report.extras["honest_roundtrip_distance"]
     ok = entrywise <= 1e-12 and roundtrip <= 1e-12
     _report(1, "bell-filter", ok, f"filter defect {entrywise:.2e}, roundtrip {roundtrip:.2e}")
@@ -99,7 +99,7 @@ def test_criterion_02_isotropic_separability_boundary():
 def test_criterion_03_eigenbasis_smuggle():
     report = smuggle_eigenstate_demo()
     phi = bell_phi_plus(2)
-    passthrough = float(np.abs(report.receiver_state.mat - phi.mat).max())
+    passthrough = float(np.abs(report.render_receiver()[0] - phi.mat).max())
     witness = report.verdicts["entanglement"].witness_value
     ok = passthrough <= 1e-10 and abs(witness + 0.5) <= 1e-9 and report.breach
     _report(3, "eigenbasis-smuggle", ok, f"passthrough {passthrough:.2e}, witness {witness:.6f}")
@@ -135,7 +135,7 @@ def test_criterion_06_discord_breach(tmp_path):
         + 0.5 * tensor(from_pure(PLUS), from_pure(Z1)).mat,
         (2, 2),
     )
-    intact = float(np.abs(report.receiver_state.mat - mixture.mat).max())
+    intact = float(np.abs(report.render_receiver()[0] - mixture.mat).max())
     witness = report.verdicts["discord"].witness_value
     comp0 = report.extras["component_discord_0"]
     comp1 = report.extras["component_discord_1"]

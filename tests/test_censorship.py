@@ -235,7 +235,7 @@ def test_registry_entry_contract(name):
     report = run_protocol(
         NetworkScenario(name, "replacement", [SenderStrategy("honest", **known_free)])
     )
-    assert linalg.hs_distance(report.receiver_state.mat, desc.state.mat) < 1e-12
+    assert linalg.hs_distance(report.render_receiver()[0], desc.state.mat) < 1e-12
     assert not report.breach
 
     if entry.sample_free is None:
@@ -360,7 +360,7 @@ def test_two_honest_imaginarity_senders_unchanged():
         )
     )
     assert not report.breach
-    assert np.abs(report.receiver_state.mat - np.kron(s1.mat, s2.mat)).max() < 1e-9
+    assert np.abs(report.render_receiver()[0] - np.kron(s1.mat, s2.mat)).max() < 1e-9
     assert report.verdicts["imaginarity"].is_free
 
 
@@ -386,7 +386,7 @@ def test_degenerate_and_nondegenerate_senders_sharing_a_label_are_both_fixed(the
         )
     )
     assert not report.breach
-    assert np.abs(report.receiver_state.mat - np.kron(s1.mat, s2.mat)).max() < 1e-9
+    assert np.abs(report.render_receiver()[0] - np.kron(s1.mat, s2.mat)).max() < 1e-9
 
 
 def test_honest_claim_mismatch_rejected():
@@ -422,7 +422,7 @@ def test_untruthful_bell_claim_filtered_to_product():
         )
     )
     target = tensor(from_pure(PLUS), from_pure(MINUS))
-    assert np.abs(report.receiver_state.mat - target.mat).max() < 1e-12
+    assert np.abs(report.render_receiver()[0] - target.mat).max() < 1e-12
     assert not report.breach
 
 
@@ -453,7 +453,7 @@ def test_correlated_discord_mixture_breaches():
     assert report.breach
     assert report.verdicts["discord"].witness_value > 1e-3
     expected = 0.5 * s0.mat + 0.5 * s1.mat
-    assert np.abs(report.receiver_state.mat - expected).max() < 1e-10
+    assert np.abs(report.render_receiver()[0] - expected).max() < 1e-10
 
 
 def test_correlated_wrong_dims_rejected():
@@ -482,9 +482,10 @@ def test_activation_scenario_marginals_and_notes():
     )
     assert not report.breach
     assert not report.verdicts["locality"].decisive  # CHSH pass is necessary-only
+    receiver, dims = report.render_receiver()
     for k in range(2):
-        marg = report.receiver_state.marginal([2 * k, 2 * k + 1])
-        assert linalg.hs_distance(marg.mat, sigma.mat) < 1e-10
+        marg = linalg.partial_trace(receiver, dims, [2 * k, 2 * k + 1])
+        assert linalg.hs_distance(marg, sigma.mat) < 1e-10
     assert any("activation risk" in note for note in report.notes)
     assert not report.verdicts["entanglement"].is_free  # in-window state is NPT
 
@@ -503,7 +504,7 @@ def test_noise_scenario_records_distances():
     rec = report.distances[0]
     assert rec["d_censored"] <= rec["d_noisy"] + 1e-12
     assert rec["d_noisy"] > 0.1
-    assert qrt.is_free_imaginarity(report.receiver_state).is_free
+    assert qrt.is_free_imaginarity(DensityOperator(*report.render_receiver())).is_free
 
 
 def test_unknown_theory_and_kind_rejected():

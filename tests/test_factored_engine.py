@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import dense_apply_censorship, dense_run_protocol
+from qcensor import linalg
 from qcensor.censorship import (
     Claim,
     NetworkScenario,
@@ -164,8 +165,9 @@ def test_run_protocol_matches_dense_engine(theory, channel_kind, noise_kind, pla
     scenario = data.draw(scenarios(theory, channel_kind, noise_kind, plan))
     report = run_protocol(scenario)
     receiver, distances = dense_run_protocol(scenario)
-    assert report.receiver_state.mat.shape == receiver.shape
-    assert np.abs(report.receiver_state.mat - receiver).max() < TOL
+    rendered, _ = report.render_receiver()
+    assert rendered.shape == receiver.shape
+    assert np.abs(rendered - receiver).max() < TOL
     if distances is None:
         assert report.distances is None
         return
@@ -179,11 +181,11 @@ def test_run_protocol_matches_dense_engine(theory, channel_kind, noise_kind, pla
     st.sampled_from(["imaginarity-replacement", "imaginarity-eigen_dephasing", "entanglement"]),
     st.integers(1, 3),
     st.integers(1, 2),
-    st.sampled_from(["registered", "reversed", "unregistered"]),
     st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=30)
-def test_apply_censorship_matches_dense_engine(family, n_pairs, n_descs, basis, seed):
+def test_apply_censorship_matches_dense_engine(family, n_pairs, n_descs, seed):
+    # random joints put weight on every message index, the reserved one included
     theory, _, kind = family.partition("-")
     kind = kind or "replacement"
     sys = SYSTEM_DIMS[theory]
@@ -193,24 +195,20 @@ def test_apply_censorship_matches_dense_engine(family, n_pairs, n_descs, basis, 
         state, ensemble = _free_source(theory, rng)
         descs.append(encode_description(theory, sigma=state, ensemble=ensemble))
     ch = build_conditional_channel(theory, kind, descs)
-    labels = {
-        "registered": list(ch.labels),
-        "reversed": list(reversed(ch.labels)),
-        "unregistered": list(ch.labels) + [b"unregistered"],
-    }[basis]
-    pair_dims = (len(labels) + 1,) + sys
+    pair_dims = (ch.message_dim,) + sys
     while n_pairs > 1 and int(np.prod(pair_dims)) ** n_pairs > 2 * MAX_REFERENCE_WIDTH:
         n_pairs -= 1
     dims = pair_dims * n_pairs
     width = int(np.prod(dims))
     joint = random_density(width, int(rng.integers(1, width + 1)), rng, dims=dims)
-    out = apply_censorship(ch, joint, labels)
-    assert np.abs(out.mat - dense_apply_censorship(ch, joint, labels)).max() < TOL
+    out = apply_censorship(ch, joint)
+    assert np.abs(out.mat - dense_apply_censorship(ch, joint)).max() < TOL
 
 
 def test_product_senders_never_validate_the_joint(monkeypatch):
-    # Four two-qubit senders: a 4096-wide joint for the dense engine. Only
-    # operators at most 256 wide (the receiver) may be built and validated.
+    # Four two-qubit senders: a 4096-wide joint for the dense engine and a
+    # 256-wide receiver. Nothing wider than one censored block (4) may be
+    # validated; the receiver is rendered from the blocks for the report.
     import qcensor.states as states
 
     widths = []
@@ -220,13 +218,15 @@ def test_product_senders_never_validate_the_joint(monkeypatch):
         widths.append(np.asarray(mat).shape[0])
         return original(mat)
 
-    monkeypatch.setattr(states, "validate", spy)
     sigma = isotropic(2, 5 / 12)
     scenario = NetworkScenario(
         "locality", "replacement", [SenderStrategy("honest", state=sigma) for _ in range(4)]
     )
-    report = run_protocol(scenario)
-    assert report.receiver_state.dims == (2, 2) * 4
-    assert max(widths) == 256
-    marginal = report.receiver_state.marginal([4, 5])
-    assert np.abs(marginal.mat - sigma.mat).max() < 1e-12
+    with monkeypatch.context() as m:
+        m.setattr(states, "validate", spy)
+        report = run_protocol(scenario)
+    assert max(widths) == 4
+    receiver, dims = report.render_receiver()
+    assert dims == (2, 2) * 4
+    marginal = linalg.partial_trace(receiver, dims, [4, 5])
+    assert np.abs(marginal - sigma.mat).max() < 1e-12

@@ -235,17 +235,22 @@ def test_faint_resource_blocks_stay_resources_next_to_mixed_blocks():
     assert not run_protocol(scenario).verdicts["entanglement"].is_free
 
 
-def _spy(monkeypatch, owner, name: str, record) -> None:
+def _spy(monkeypatch, owner, name: str, record, of_result: bool = False) -> None:
+    # records the shape of the first argument, or of the result
     original = getattr(owner, name)
 
     def spy(*args, **kwargs):
-        record(name, np.shape(args[0]))
-        return original(*args, **kwargs)
+        out = original(*args, **kwargs)
+        record(name, np.shape(out if of_result else args[0]))
+        return out
 
     monkeypatch.setattr(owner, name, spy)
 
 
 def test_five_sender_locality_run_never_builds_a_wide_cut(monkeypatch):
+    # The receiver is 1024 wide; run_protocol builds nothing wider than one
+    # sender's message+system input block (2 x 4) and diagonalizes nothing
+    # wider than one censored block (4).
     p = 0.3
     scenario = NetworkScenario(
         theory="locality",
@@ -257,12 +262,14 @@ def test_five_sender_locality_run_never_builds_a_wide_cut(monkeypatch):
 
     def record(name: str, shape) -> None:
         widths.setdefault(name, []).append(shape[0])
-        if name.startswith("eig") and shape[0] == 1024:
+        if name.startswith("eig") and shape[0] > 4:
             wide_eigen.append(sys._getframe(2).f_code.co_name)
 
     with monkeypatch.context() as m:
         for name in ("partial_transpose", "partial_trace", "min_eigenvalue"):
             _spy(m, linalg, name, record)
+        _spy(m, linalg, "kron_all", record, of_result=True)
+        _spy(m, np, "kron", record, of_result=True)
         for name in ("eigvalsh", "eigh", "eig", "eigvals"):
             _spy(m, np.linalg, name, record)
         report = run_protocol(scenario)
@@ -270,15 +277,17 @@ def test_five_sender_locality_run_never_builds_a_wide_cut(monkeypatch):
     assert max(widths["partial_transpose"]) <= 4
     assert max(widths["min_eigenvalue"]) <= 4
     assert max(widths.get("partial_trace", [0])) <= 4
-    assert wide_eigen == ["validate"]  # the receiver's own DensityOperator check
+    assert max(widths.get("kron_all", [0])) <= 8
+    assert max(widths["kron"]) == 8  # |i><i| (x) rho, one sender's input block
+    assert wide_eigen == []
 
-    receiver = report.receiver_state
-    assert receiver.dim == 1024
+    receiver, dims = report.render_receiver()
+    assert dims == (2, 2) * 5
     locality, entanglement = report.verdicts["locality"], report.verdicts["entanglement"]
     assert locality.is_free and not locality.decisive
     assert entanglement.is_free and entanglement.decisive
     # dense value: register 0's marginal
-    marginal = np.einsum("ajbj->ab", receiver.mat.reshape(4, 256, 4, 256))
+    marginal = np.einsum("ajbj->ab", receiver.reshape(4, 256, 4, 256))
     dense_m = qrt.chsh_parameter(DensityOperator(marginal, (2, 2)))
     assert abs(locality.witness_value - dense_m) <= TOL
     # one block's 2x2 cut

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcensor.censorship import CensorshipReport, ScenarioError, run_protocol
+from qcensor.censorship import (
+    CensorshipReport,
+    Claim,
+    NetworkScenario,
+    ScenarioError,
+    SenderStrategy,
+    run_protocol,
+)
 from qcensor.channels import ChannelSpec
 from qcensor.demos import discord_breach_demo
 from qcensor.serialize import (
@@ -20,7 +27,15 @@ from qcensor.serialize import (
     state_to_json,
 )
 from qcensor.qrt import ResourceVerdict
-from qcensor.states import bell_phi_plus, from_pure, isotropic, make_rng, random_density
+from qcensor.states import (
+    DensityOperator,
+    bell_phi_plus,
+    from_pure,
+    isotropic,
+    make_rng,
+    random_density,
+    tensor,
+)
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -105,7 +120,7 @@ def test_scenario_roundtrip_and_run():
     assert not report.breach
     # the receiver is the claimed product |+><+| (x) |-><-|
     want = np.kron(np.outer(PLUS, PLUS), np.outer(MINUS, MINUS))
-    assert np.abs(report.receiver_state.mat - want).max() < 1e-15
+    assert np.abs(report.render_receiver()[0] - want).max() < 1e-15
 
     noisy = scenario_from_json(
         {
@@ -152,18 +167,25 @@ ENTRIES = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_i
 TEXT = st.text(st.sampled_from('a"\\\n\t\x00\u00e9\u2192\U0001f600 {}[],:0'), max_size=12)
 
 
-def _table(rng: np.random.Generator, n: int) -> np.ndarray:
-    # special entries mixed with normals spread over the float exponent range
-    spread = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-300, 300, (n, n))
+def _table(rng: np.random.Generator, n: int, scale: int = 300) -> np.ndarray:
+    # special entries mixed with normals spread over exponents -scale..scale
+    spread = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-scale, scale, (n, n))
     return np.where(rng.random((n, n)) < 0.5, rng.choice(SPECIAL, (n, n)), spread)
 
 
 @st.composite
 def reports(draw):
-    n = draw(st.integers(1, 64))
+    # one exotic table up to 64 wide, or two or three small blocks whose
+    # exponent range is cut so that every entry of their product is finite
+    one_table = st.tuples(st.integers(1, 64))
+    sizes = draw(st.one_of(one_table, st.lists(st.integers(1, 4), min_size=2, max_size=3)))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
-    # the writer reads only .mat and .dims, so the tables need not be a state
-    receiver = SimpleNamespace(mat=_table(rng, n) + 1j * _table(rng, n), dims=(n,))
+    scale = 300 // len(sizes)
+    # the writers read only .mat and .dims of a block, so the tables need not be states
+    blocks = tuple(
+        (SimpleNamespace(mat=_table(rng, n, scale) + 1j * _table(rng, n, scale), dims=(n,)), 1)
+        for n in sizes
+    )
     verdicts = {
         name: ResourceVerdict(draw(st.booleans()), draw(ENTRIES), draw(st.booleans()))
         for name in draw(st.lists(TEXT, max_size=2, unique=True))
@@ -171,7 +193,7 @@ def reports(draw):
     extras = draw(st.dictionaries(TEXT, st.one_of(TEXT, ENTRIES, st.lists(ENTRIES)), max_size=3))
     distances = draw(st.one_of(st.none(), st.just([{"sender": 0, "d_noisy": 0.5}])))
     report = CensorshipReport(
-        receiver_state=receiver,
+        blocks=blocks,
         verdicts=verdicts,
         breach=draw(st.booleans()),
         distances=distances,
@@ -195,6 +217,23 @@ def test_report_pretty_renders():
     assert "breach: YES" in text
     assert "discord" in text
     assert "bits" in text
+
+
+def test_report_pretty_gives_discord_bits_on_two_qubit_registers_only():
+    # On (2, 3) registers the discord witness is the commutator defect, not an entropy.
+    components = (
+        tensor(from_pure(np.array([1.0, 0.0])), from_pure(np.eye(3)[0])),
+        tensor(from_pure(PLUS), from_pure(np.eye(3)[1])),
+    )
+    joint = sum(0.5 * np.kron(np.diag(np.eye(3)[i]), c.mat) for i, c in enumerate(components))
+    sender = SenderStrategy(
+        "correlated",
+        state=DensityOperator(joint, (3, 2, 3)),
+        claimed=[Claim(state=c) for c in components],
+    )
+    report = run_protocol(NetworkScenario("discord", "replacement", [sender]))
+    assert report.breach
+    assert "  discord: resource, witness 0.125 [decisive]\n" in report_pretty(report)
 
 
 def test_report_to_json_fields():
