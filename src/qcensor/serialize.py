@@ -58,11 +58,6 @@ def matrix_from_json(obj: Any, what: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
-def state_to_json(rho: DensityOperator) -> dict:
-    out = matrix_to_json(rho.mat)
-    return {"dims": list(rho.dims), "re": out["re"], "im": out["im"]}
-
-
 def state_from_json(obj: Any, what: str = "state") -> DensityOperator:
     if not isinstance(obj, dict) or "dims" not in obj:
         raise ScenarioError(f"{what} must be an object with 'dims', 're', 'im'")
@@ -193,10 +188,13 @@ def verdict_to_json(v: ResourceVerdict) -> dict:
     }
 
 
-def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
+def report_to_json(
+    report: CensorshipReport, seed: int | None = None, *, tables=matrix_to_json
+) -> dict:
+    """The report's fields; ``tables`` writes the receiver's re/im tables."""
     mat, dims = report.render_receiver()
     return {
-        "receiver_state": {"dims": list(dims), **matrix_to_json(mat)},
+        "receiver_state": {"dims": list(dims), **tables(mat)},
         "verdicts": {name: verdict_to_json(v) for name, v in report.verdicts.items()},
         "breach": bool(report.breach),
         "distances": report.distances,
@@ -206,14 +204,20 @@ def report_to_json(report: CensorshipReport, seed: int | None = None) -> dict:
     }
 
 
-def _table_json(rows: list[list[float]], pad: str) -> str:
-    # json.dumps(rows, indent=2) for a non-empty table opened on a line
-    # indented by ``pad``; json writes a finite float as float.__repr__.
+def _table_json(table: np.ndarray, pad: str) -> str:
+    # json.dumps(table.tolist(), indent=2) for a non-empty float table opened
+    # on a line indented by ``pad``. json writes a finite float as
+    # float.__repr__, which depends only on its bits, so each distinct bit
+    # pattern is formatted once; keying by bits keeps 0.0 and -0.0 apart.
+    keys, inverse = np.unique(
+        np.ascontiguousarray(table, dtype=np.float64).view(np.uint64), return_inverse=True
+    )
+    text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
     row_pad, cell_pad = pad + "  ", pad + "    "
     cell_sep = ",\n" + cell_pad
     body = (",\n" + row_pad).join(
-        "[\n" + cell_pad + cell_sep.join(map(float.__repr__, row)) + "\n" + row_pad + "]"
-        for row in rows
+        "[\n" + cell_pad + cell_sep.join(row) + "\n" + row_pad + "]"
+        for row in text[inverse.reshape(table.shape)].tolist()
     )
     return "[\n" + row_pad + body + "\n" + pad + "]"
 
@@ -222,12 +226,12 @@ def report_json_str(report: CensorshipReport, seed: int | None = None) -> str:
     """``json.dumps(report_to_json(report, seed), sort_keys=True, indent=2)``
     and a newline, byte for byte.
 
-    The receiver's tables are written row by row, which is exact because the
-    blocks' entries are finite and so are their products. The fields that
-    sort before and after ``receiver_state`` go through ``json.dumps`` as two
-    objects, whose items are spliced around it.
+    The receiver's tables stay arrays and are written by ``_table_json``,
+    which is exact because the blocks' entries are finite and so are their
+    products. The fields that sort before and after ``receiver_state`` go
+    through ``json.dumps`` as two objects, whose items are spliced around it.
     """
-    fields = report_to_json(report, seed)
+    fields = report_to_json(report, seed, tables=lambda mat: {"re": mat.real, "im": mat.imag})
     rho = fields.pop("receiver_state")
     head = {k: v for k, v in fields.items() if k < "receiver_state"}
     tail = {k: v for k, v in fields.items() if k > "receiver_state"}

@@ -17,9 +17,9 @@ from hypothesis import strategies as st
 
 import qcensor
 from qcensor.censorship import MAX_RECEIVER_DIM
-from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, main
+from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, build_parser, main
 from qcensor.demos import DEMOS
-from qcensor.serialize import state_to_json
+from qcensor.serialize import matrix_to_json
 from qcensor.states import bell_phi_plus, from_pure, isotropic, random_real_density
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -29,12 +29,16 @@ MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def state_json(rho) -> dict:
+    return {"dims": list(rho.dims), **matrix_to_json(rho.mat)}
+
+
 def _honest_imaginarity_scenario(seed=5):
     sigma = random_real_density(2, 2, seed)
     return {
         "theory": "imaginarity",
         "channel_kind": "eigen_dephasing",
-        "senders": [{"kind": "honest", "state": state_to_json(sigma)}],
+        "senders": [{"kind": "honest", "state": state_json(sigma)}],
         "noise": None,
         "seed": seed,
     }
@@ -162,6 +166,29 @@ def test_run_pretty_format(tmp_path, capsys):
     assert "breach: no" in out
 
 
+def test_parser_is_built_once_and_keeps_no_state_between_calls(tmp_path, capsys):
+    assert build_parser() is build_parser()
+    path = _write(tmp_path, _honest_imaginarity_scenario())
+    first = tmp_path / "first.txt"
+    pretty = ["run", "--scenario", str(path), "--format", "pretty", "--out", str(first)]
+    assert main(pretty) == EXIT_OK
+    assert capsys.readouterr().out.startswith("breach: no")
+    first.unlink()
+    # no --format: JSON again; no --out: the earlier path is not written
+    assert main(["run", "--scenario", str(path)]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["seed"] == 5
+    assert not first.exists()
+    # demo keeps its own default format
+    assert main(["demo", "bell_filter"]) == EXIT_OK
+    assert capsys.readouterr().out == (GOLDEN / "bell_filter.pretty").read_text()
+    assert not first.exists()
+    # a usage error after successful calls still gets argparse's message
+    assert main(["run"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --scenario" in err
+    assert main(["run", "--scenario", str(path)]) == EXIT_OK
+
+
 @pytest.mark.parametrize(
     "name,expected",
     [
@@ -251,7 +278,7 @@ def test_runtime_error_exit_one(tmp_path):
         "senders": [
             {
                 "kind": "untruthful",
-                "state": state_to_json(bell_phi_plus(2)),
+                "state": state_json(bell_phi_plus(2)),
                 "claimed": {
                     "ensemble": [
                         {"weight": 1.0, "factors": [[[1.0, 0.0], [0.0, 0.0]]]},
@@ -268,7 +295,7 @@ def test_runtime_error_exit_one(tmp_path):
 
 
 def _locality_senders(n):
-    sigma = state_to_json(isotropic(2, 0.3))
+    sigma = state_json(isotropic(2, 0.3))
     return {
         "theory": "locality",
         "channel_kind": "replacement",
@@ -289,6 +316,16 @@ def test_receiver_over_budget_exits_two_fast(tmp_path, capsys):
     assert elapsed < 0.5
     assert "4096" in err and str(MAX_RECEIVER_DIM) in err
     assert "Traceback" not in err
+
+
+def test_receiver_at_budget_runs(tmp_path, capsys):
+    # five two-qubit registers: a receiver exactly MAX_RECEIVER_DIM wide
+    path = _write(tmp_path, _locality_senders(5))
+    assert main(["run", "--scenario", str(path)]) == EXIT_OK
+    rho = json.loads(capsys.readouterr().out)["receiver_state"]
+    assert MAX_RECEIVER_DIM == 1024
+    assert rho["dims"] == [2] * 10
+    assert len(rho["re"]) == len(rho["im"]) == 1024
 
 
 def _with(scenario, **changes):

@@ -3,7 +3,11 @@ against the point-by-point discord of ``dense_reference`` and closed forms.
 
 Closed forms: Luo's discord of Bell-diagonal states (PRA 77, 042303, 2008),
 which local unitaries leave unchanged; the entanglement entropy S(rho_A) for
-pure states; zero on classical-quantum and product states.
+pure states; zero on classical-quantum and product states. On X states the
+sigma_z and sigma_x measurements bound the discord from above (Ali, Rau and
+Alber, PRA 81, 042105, 2010); their closed form, the smaller of the two, is
+not always the discord (Lu et al., PRA 83, 012327, 2011), so only the bound
+is tested.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import dense_discord
+from dense_reference import _entropy_psd, _measured_conditional_entropy, dense_discord
 from qcensor import linalg
 from qcensor.qrt import DiscordOptions, chsh_parameter, discord
 from qcensor.states import DensityOperator, random_density, random_pure_vector
@@ -99,6 +103,38 @@ def test_discord_vanishes_on_classical_quantum_and_product_states(seed, q, side)
     product = np.kron(random_density(2, 2, rng).mat, random_density(2, 2, rng).mat)
     for mat in (cq, product):
         assert discord(DensityOperator(mat, (2, 2)), side) <= 1e-12
+
+
+@st.composite
+def x_states(draw):
+    # a, b, c, d on the diagonal; w = <00|rho|11> with |w|^2 <= ad and
+    # z = <01|rho|10> with |z|^2 <= bc, real or complex
+    diag = np.array(draw(st.lists(st.floats(0, 1), min_size=4, max_size=4)))
+    assume(diag.sum() > 1e-3)
+    a, b, c, d = diag / diag.sum()
+    phases = st.sampled_from([0.0, np.pi]) if draw(st.booleans()) else st.floats(0, 2 * np.pi)
+    w, z = (
+        draw(st.floats(0, 1)) * np.sqrt(p) * np.exp(1j * draw(phases)) for p in (a * d, b * c)
+    )
+    mat = np.diag([a, b, c, d]).astype(complex)
+    mat[0, 3], mat[3, 0] = w, np.conj(w)
+    mat[1, 2], mat[2, 1] = z, np.conj(z)
+    return mat
+
+
+@given(x_states(), SIDES)
+@settings(max_examples=60)
+def test_discord_at_most_sigma_z_and_sigma_x_values_on_x_states(mat, side):
+    rho = DensityOperator(mat, (2, 2))
+    if side == "Y":
+        mat = mat.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
+    base = _entropy_psd(linalg.partial_trace(mat, (2, 2), [0])) - _entropy_psd(mat)
+    # theta = 0 measures sigma_z on the measured side, theta = pi/2 sigma_x
+    measured = [
+        base + _measured_conditional_entropy(mat.reshape(2, 2, 2, 2), theta, 0.0)
+        for theta in (0.0, np.pi / 2)
+    ]
+    assert discord(rho, side) <= min(measured) + 1e-12
 
 
 @given(SEEDS, st.integers(1, 4))

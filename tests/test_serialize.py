@@ -18,13 +18,13 @@ from qcensor.channels import ChannelSpec
 from qcensor.demos import discord_breach_demo
 from qcensor.serialize import (
     ensemble_from_json,
+    matrix_to_json,
     noise_from_json,
     report_json_str,
     report_pretty,
     report_to_json,
     scenario_from_json,
     state_from_json,
-    state_to_json,
 )
 from qcensor.qrt import ResourceVerdict
 from qcensor.states import (
@@ -41,9 +41,13 @@ PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
 
 
+def state_json(rho: DensityOperator) -> dict:
+    return {"dims": list(rho.dims), **matrix_to_json(rho.mat)}
+
+
 def test_state_roundtrip():
     rho = random_density(4, 2, make_rng(0), dims=(2, 2))
-    again = state_from_json(state_to_json(rho))
+    again = state_from_json(state_json(rho))
     assert again.dims == (2, 2)
     assert np.abs(again.mat - rho.mat).max() < 1e-15
 
@@ -90,7 +94,7 @@ def test_scenario_roundtrip_and_run():
         "senders": [
             {
                 "kind": "untruthful",
-                "state": state_to_json(bell_phi_plus(2)),
+                "state": state_json(bell_phi_plus(2)),
                 "claimed": {
                     "ensemble": [
                         {
@@ -181,11 +185,12 @@ def reports(draw):
     sizes = draw(st.one_of(one_table, st.lists(st.integers(1, 4), min_size=2, max_size=3)))
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
     scale = 300 // len(sizes)
+    mats = [_table(rng, n, scale) + 1j * _table(rng, n, scale) for n in sizes]
+    if len(mats) > 1 and draw(st.booleans()):
+        # honest senders sharing a label send one block, so entries repeat
+        mats = [mats[0]] * len(mats)
     # the writers read only .mat and .dims of a block, so the tables need not be states
-    blocks = tuple(
-        (SimpleNamespace(mat=_table(rng, n, scale) + 1j * _table(rng, n, scale), dims=(n,)), 1)
-        for n in sizes
-    )
+    blocks = tuple((SimpleNamespace(mat=m, dims=(len(m),)), 1) for m in mats)
     verdicts = {
         name: ResourceVerdict(draw(st.booleans()), draw(ENTRIES), draw(st.booleans()))
         for name in draw(st.lists(TEXT, max_size=2, unique=True))
@@ -209,6 +214,42 @@ def test_report_json_str_is_json_dumps_byte_for_byte(case):
     report, seed = case
     want = json.dumps(report_to_json(report, seed), sort_keys=True, indent=2) + "\n"
     assert report_json_str(report, seed) == want
+
+
+def _assert_json_dumps(report, seed=None):
+    want = json.dumps(report_to_json(report, seed), sort_keys=True, indent=2) + "\n"
+    assert report_json_str(report, seed) == want
+    return want
+
+
+def test_report_json_str_on_honest_locality_under_local_unitaries():
+    # three honest senders sharing one label: a 64-wide receiver whose
+    # entries repeat, with complex entries from the random local unitaries
+    rng = make_rng(4)
+    u, v = (np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0] for _ in "uv")
+    u = np.kron(u, v)
+    sigma = DensityOperator(u @ isotropic(2, 0.3).mat @ u.conj().T, (2, 2))
+    senders = [SenderStrategy("honest", state=sigma) for _ in range(3)]
+    report = run_protocol(NetworkScenario("locality", "replacement", senders, seed=9))
+    text = _assert_json_dumps(report, 9)
+    assert len(json.loads(text)["receiver_state"]["re"]) == 64
+
+
+def test_report_json_str_keeps_signed_zeros_apart():
+    mat = np.empty((3, 3), dtype=complex)
+    mat.real = [[0.0, -0.0, 0.1], [0.1, 0.0, -0.0], [-0.0, 0.1, 0.1]]
+    mat.imag = [[-0.0, 0.0, -0.1], [-0.0, -0.1, 0.0], [0.0, -0.1, -0.1]]
+    report = CensorshipReport(
+        blocks=((SimpleNamespace(mat=mat, dims=(3,)), 1),),
+        verdicts={},
+        breach=False,
+        distances=None,
+        notes=(),
+        extras={},
+    )
+    table = json.loads(_assert_json_dumps(report))["receiver_state"]
+    assert [str(x) for x in table["re"][0]] == ["0.0", "-0.0", "0.1"]
+    assert [str(x) for x in table["im"][0]] == ["-0.0", "0.0", "-0.1"]
 
 
 def test_report_pretty_renders():
@@ -258,8 +299,8 @@ def test_honest_locality_scenario_from_json():
             "theory": "locality",
             "channel_kind": "replacement",
             "senders": [
-                {"kind": "honest", "state": state_to_json(isotropic(2, 5 / 12))},
-                {"kind": "honest", "state": state_to_json(isotropic(2, 5 / 12))},
+                {"kind": "honest", "state": state_json(isotropic(2, 5 / 12))},
+                {"kind": "honest", "state": state_json(isotropic(2, 5 / 12))},
             ],
             "noise": None,
             "seed": 0,
@@ -280,7 +321,7 @@ def test_unknown_rng_rejected():
                     "senders": [
                         {
                             "kind": "honest",
-                            "state": state_to_json(
+                            "state": state_json(
                                 from_pure(np.array([1.0, 0.0]))
                             ),
                         }
