@@ -12,10 +12,12 @@ states, classical on X.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count, islice
+from numbers import Integral
 from typing import Callable, Sequence
 
 import numpy as np
@@ -119,12 +121,19 @@ def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
 class DiscordOptions:
     """Measurement-optimization controls for the two-qubit discord.
 
-    The refinement stops once its step falls below ``DISCORD_MIN_STEP``;
+    ``grid_points`` is a positive integer and ``refine_iters`` a nonnegative
+    one. The refinement stops once its step falls below ``DISCORD_MIN_STEP``;
     ``refine_iters`` only caps it, and 0 keeps the grid minimum.
     """
 
     grid_points: int = 60
     refine_iters: int = 1000
+
+    def __post_init__(self) -> None:
+        for name, low in (("grid_points", 1), ("refine_iters", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral) or value < low:
+                raise ValueError(f"DiscordOptions.{name} must be an integer >= {low}: {value!r}")
 
 
 def _pauli_coordinates(rho: DensityOperator) -> np.ndarray:
@@ -138,13 +147,29 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=0)
 
 
-def _conditional_entropies(coords: np.ndarray, theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    # Luo (PRA 77, 042303): measuring the first qubit along n gives outcomes
-    # with probability (1 +- a.n)/2 and second-qubit Bloch vectors
-    # (b +- T^T n)/(1 +- a.n), so each outcome's unnormalized block has
-    # eigenvalues (1 +- a.n +- |b +- T^T n|)/4. Sum_+- p S(block/p) is the
+def _directions(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Unit vectors, shape (3, n), of the Bloch angles (theta, phi)."""
+    return np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+
+
+@functools.cache
+def _grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
+    """The g x g grid's angles, shape (g*g, 2), and unit vectors, shape
+    (3, g*g), both read-only."""
+    g = grid_points
+    thetas = np.repeat(np.linspace(0.0, np.pi, g), g)
+    phis = np.tile(np.linspace(0.0, 2 * np.pi, g, endpoint=False), g)
+    angles, dirs = np.stack((thetas, phis), axis=1), _directions(thetas, phis)
+    angles.flags.writeable = dirs.flags.writeable = False
+    return angles, dirs
+
+
+def _conditional_entropies(coords: np.ndarray, n: np.ndarray) -> np.ndarray:
+    # Luo (PRA 77, 042303): measuring the first qubit along the unit vector n
+    # gives outcomes with probability (1 +- a.n)/2 and second-qubit Bloch
+    # vectors (b +- T^T n)/(1 +- a.n), so each outcome's unnormalized block
+    # has eigenvalues (1 +- a.n +- |b +- T^T n|)/4. Sum_+- p S(block/p) is the
     # entropy of those four eigenvalues minus that of the two outcomes.
-    n = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
     an = coords[1:, 0] @ n
     tn = coords[1:, 1:].T @ n
     b = coords[0, 1:, None]
@@ -152,6 +177,10 @@ def _conditional_entropies(coords: np.ndarray, theta: np.ndarray, phi: np.ndarra
     bloch = np.sqrt(np.stack((((b + tn) ** 2).sum(0), ((b - tn) ** 2).sum(0))))
     eigs = np.concatenate((outcome + bloch, outcome - bloch)) / 4
     return _shannon(eigs) - _shannon(outcome / 2)
+
+
+# the four neighbours of a direction: theta +- step, then phi +- step
+_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
 
 
 def discord(
@@ -163,9 +192,15 @@ def discord(
 
     Mutual information minus the best classical correlations extractable by
     a projective measurement on ``measured_side`` ("X" = first factor,
-    "Y" = second). The whole Bloch-angle grid is scored at once from the
-    state's Pauli coordinates; a refinement then moves to the best of the
-    four neighbouring angles, or halves its step when none improves.
+    "Y" = second). The grid's measurement directions are computed once per
+    grid size, and the whole grid is scored at once from the state's Pauli
+    coordinates. A refinement then moves to the best of the four
+    neighbouring angles, or halves its step when none improves. Each
+    evaluation scores the whole halving ladder at once: the neighbours at
+    step, step/2, step/4, ... down to the last rung that the step floor
+    and the remaining iterations allow. The rungs are then replayed in
+    order by that rule, each one using up an iteration, so the scanned path
+    and the result are those of one rung per evaluation.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"discord optimizer supports 2x2 systems only, got {rho.dims}")
@@ -180,25 +215,31 @@ def discord(
     s_measured = _shannon(np.array([1 + a, 1 - a]) / 2)
     s_joint = _shannon(np.linalg.eigvalsh(rho.mat))
 
-    g = opt.grid_points
-    thetas = np.repeat(np.linspace(0.0, np.pi, g), g)
-    phis = np.tile(np.linspace(0.0, 2 * np.pi, g, endpoint=False), g)
-    grid = _conditional_entropies(coords, thetas, phis)
+    grid_angles, grid_dirs = _grid(opt.grid_points)
+    grid = _conditional_entropies(coords, grid_dirs)
     k = int(np.argmin(grid))
-    best, angles = grid[k], np.array([thetas[k], phis[k]])
+    best, angles = grid[k], grid_angles[k]
 
-    step = np.array([np.pi, 2 * np.pi]) / max(g, 1)
-    moves = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
-    for _ in range(opt.refine_iters):
-        if step[0] < DISCORD_MIN_STEP:
-            break
-        trial = angles + moves * step
-        vals = _conditional_entropies(coords, trial[:, 0], trial[:, 1])
-        j = int(np.argmin(vals))
-        if vals[j] < best - 1e-15:
-            best, angles = vals[j], trial[j]
+    step = np.array([np.pi, 2 * np.pi]) / opt.grid_points
+    remaining = opt.refine_iters
+    while remaining > 0 and step[0] >= DISCORD_MIN_STEP:
+        rungs, low = 1, step[0] / 2
+        while rungs < remaining and low >= DISCORD_MIN_STEP:
+            rungs, low = rungs + 1, low / 2
+        # halving by a power of two is exact: these are the stepwise steps
+        steps = step / 2.0 ** np.arange(rungs)[:, None]
+        trial = angles + _MOVES * steps[:, None]
+        vals = _conditional_entropies(coords, _directions(*trial.reshape(-1, 2).T))
+        vals = vals.reshape(rungs, 4)
+        # replay: move at the first rung that improves, else halve past them all
+        gains = vals.min(axis=1) < best - 1e-15
+        if gains.any():
+            r = int(np.argmax(gains))
+            j = int(np.argmin(vals[r]))
+            remaining, step = remaining - r - 1, steps[r]
+            best, angles = vals[r, j], trial[r, j]
         else:
-            step = step / 2
+            remaining, step = remaining - rungs, steps[-1] / 2
 
     # delta = S(measured marginal) - S(joint) + min conditional entropy
     return max(float(s_measured - s_joint + best), 0.0)

@@ -55,7 +55,8 @@ def test_tracer_sees_the_channel_layers(capsys):
 def test_tracer_sees_the_discord_layer(capsys):
     code, totals = _traced_totals(["demo", "discord_breach"], capsys)
     assert code == EXIT_BREACH
-    assert totals.get("qrt.discord.calls", 0) > 0
+    # the mixture's marginal and the two components' extras
+    assert totals.get("qrt.discord.calls", 0) == 3
 
 
 def test_tracer_sees_the_receiver_judges(capsys):

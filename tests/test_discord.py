@@ -1,5 +1,10 @@
 """The batched discord and CHSH, read from the state's Pauli coordinates,
-against the point-by-point discord of ``dense_reference`` and closed forms.
+against the point-by-point and stepwise discords of ``dense_reference`` and
+closed forms.
+
+The discord scores each refinement's whole halving ladder in one evaluation;
+it must return exactly what the stepwise search, one rung per evaluation,
+returns, with at most half its evaluations.
 
 Closed forms: Luo's discord of Bell-diagonal states (PRA 77, 042303, 2008),
 which local unitaries leave unchanged; the entanglement entropy S(rho_A) for
@@ -13,11 +18,18 @@ is tested.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dense_reference import _entropy_psd, _measured_conditional_entropy, dense_discord
-from qcensor import linalg
+import dense_reference
+from dense_reference import (
+    _entropy_psd,
+    _measured_conditional_entropy,
+    dense_discord,
+    stepwise_discord,
+)
+from qcensor import linalg, qrt
 from qcensor.qrt import DiscordOptions, chsh_parameter, discord
 from qcensor.states import DensityOperator, random_density, random_pure_vector
 
@@ -64,6 +76,72 @@ def test_discord_at_most_dense_discord(seed, rank, side):
     assert abs(grid_only - dense_discord(rho, side, grid_points=8, refine_iters=0)) < 1e-12
     # the step-size rule, not the iteration cap, ends the refinement
     assert discord(rho, side, DiscordOptions(refine_iters=10**6)) == value
+
+
+GRID_SIZES = st.sampled_from([1, 8, 60])
+
+
+@given(
+    SEEDS,
+    st.integers(1, 4),
+    SIDES,
+    GRID_SIZES,
+    GRID_SIZES,
+    st.one_of(st.none(), st.integers(0, 80)),
+)
+@settings(max_examples=80)
+def test_discord_equals_the_stepwise_search(seed, rank, side, g, other_g, k):
+    rho = random_density(4, rank, seed, dims=(2, 2))
+    opt = DiscordOptions(grid_points=g) if k is None else DiscordOptions(g, k)
+    # a grid of another size is cached first, so one size cannot serve another
+    discord(rho, side, DiscordOptions(grid_points=other_g))
+    assert discord(rho, side, opt) == stepwise_discord(rho, side, opt)
+
+
+def _counted(monkeypatch, module, name: str) -> list[int]:
+    calls, fn = [0], getattr(module, name)
+
+    def spy(*args):
+        calls[0] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_discord_scores_at_most_half_the_stepwise_evaluations(seed, monkeypatch):
+    batched = _counted(monkeypatch, qrt, "_conditional_entropies")
+    stepwise = _counted(monkeypatch, dense_reference, "_stepwise_conditional_entropies")
+    rho = random_density(4, 1 + seed % 4, seed, dims=(2, 2))
+    assert discord(rho) == stepwise_discord(rho)
+    assert 2 * batched[0] <= stepwise[0]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("grid_points", 0), ("grid_points", -3), ("grid_points", 2.5), ("grid_points", True)]
+    + [("refine_iters", -5), ("refine_iters", 2.5), ("refine_iters", "10")],
+)
+def test_discord_options_reject_values_that_break_the_search(field, value):
+    with pytest.raises(ValueError, match=field):
+        DiscordOptions(**{field: value})
+
+
+def test_discord_options_take_numpy_integers_and_a_one_point_grid():
+    rho = random_density(4, 2, 7, dims=(2, 2))
+    opt = DiscordOptions(grid_points=np.int64(1), refine_iters=np.int32(0))
+    assert discord(rho, "X", opt) == stepwise_discord(rho, "X", DiscordOptions(1, 0))
+
+
+def test_cached_grid_arrays_are_read_only():
+    angles, dirs = qrt._grid(8)
+    assert angles.shape == (64, 2) and dirs.shape == (3, 64)
+    assert qrt._grid(8)[1] is dirs
+    for arr in (angles, dirs):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 @given(st.lists(st.floats(-1, 1), min_size=3, max_size=3), SEEDS, SIDES)
