@@ -5,6 +5,12 @@ Senders describe their free states with the encoder of the scenario's
 theory (``qrt.THEORIES``). The conditional channel reads each message
 register destructively (cross-label coherences are discarded) and applies
 the per-label branch to the paired system register.
+
+Only the message diagonal ever reaches a branch, so the engine keeps the m
+branch transfers, each after the link noise, side by side in one stacked
+transfer. An honest or untruthful sender's block is its label's columns of
+that transfer times vec rho, with no message register; a correlated joint
+is read on its message diagonal and censored one pair per matmul.
 """
 
 from __future__ import annotations
@@ -148,32 +154,38 @@ def build_conditional_channel(
     )
 
 
-def _pair_transfer(ch: ConditionalRDChannel, noise: KrausChannel | None = None) -> np.ndarray:
-    """Transfer matrix of one message+system pair.
+def _stacked_transfer(ch: ConditionalRDChannel, noise: KrausChannel | None = None) -> np.ndarray:
+    """The m branch transfers after the link noise, side by side.
 
-    The message register is read in its label basis (cross-label coherences
-    are discarded) and outcome i applies branch i after the link noise:
-    T[(a,b),((i,s),(i',s'))] = delta_ii' (T_Bi T_N)[(a,b),(s,s')].
+    Column (i, s, s') is column (s, s') of T_Bi T_N, so the d^2 columns of
+    label i censor the system block that message outcome i selects.
     """
-    m = ch.message_dim
-    d_in, d_out = ch.default_branch.in_dim, ch.default_branch.out_dim
-    t = np.zeros((d_out, d_out, m, d_in, m, d_in), dtype=complex)
-    for i in range(m):
-        branch = ch.branch_for_index(i)
-        t_i = branch.transfer if noise is None else branch.transfer @ noise.transfer
-        t[:, :, i, :, i, :] = t_i.reshape(d_out, d_out, d_in, d_in)
-    return t.reshape(d_out * d_out, (m * d_in) ** 2)
+    branches = (ch.branch_for_index(i).transfer for i in range(ch.message_dim))
+    return np.hstack([t if noise is None else t @ noise.transfer for t in branches])
 
 
-def _censor_pairs(
-    mat: np.ndarray, dims: DimSignature, transfer: np.ndarray, n_pairs: int, sys: DimSignature
+def _censor_joint(
+    stacked: np.ndarray, mat: np.ndarray, n_pairs: int, sys: DimSignature
 ) -> DensityOperator:
-    """Censor ``n_pairs`` message+system pairs; the Hermitized state on the systems."""
-    # Pair k starts at factor k*len(sys) once pairs 0..k-1 are censored.
-    for k in range(n_pairs):
-        start = k * len(sys)
-        mat, dims = linalg.apply_transfer(mat, dims, transfer, start, start + 1 + len(sys), sys)
-    return DensityOperator((mat + mat.conj().T) / 2, dims)
+    """Censor a joint over ``n_pairs`` message+system pairs; the Hermitized
+    state on the systems.
+
+    Each message register is read on its diagonal only; each pair's branch
+    transfers then act one matmul at a time, leading pair first.
+    """
+    d = int(np.prod(sys))
+    m = stacked.shape[1] // (d * d)
+    # pair k: message 3k, system row 3k+1, system column 3k+2
+    rows = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 1)]
+    cols = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 2)]
+    x = np.einsum(mat.reshape((m, d) * 2 * n_pairs), rows + cols, list(range(3 * n_pairs)))
+    for _ in range(n_pairs):
+        # consume the leading pair; its output moves last
+        x = (stacked @ x.reshape(m * d * d, -1)).T
+    width = d**n_pairs
+    order = list(range(0, 2 * n_pairs, 2)) + list(range(1, 2 * n_pairs, 2))
+    out = x.reshape((d, d) * n_pairs).transpose(order).reshape(width, width)
+    return DensityOperator((out + out.conj().T) / 2, sys * n_pairs)
 
 
 def _validate_joint_layout(
@@ -204,7 +216,7 @@ def apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator) -> Densit
     only and has unit trace.
     """
     n = _validate_joint_layout(joint, ch.message_dim, ch.system_dims)
-    return _censor_pairs(joint.mat, joint.dims, _pair_transfer(ch), n, ch.system_dims)
+    return _censor_joint(_stacked_transfer(ch), joint.mat, n, ch.system_dims)
 
 
 @dataclass
@@ -303,13 +315,18 @@ def _strategy_descriptions(scenario: NetworkScenario) -> list[list[Description]]
     return per_strategy
 
 
-def _sender_block(
-    pos: int, st: SenderStrategy, descs: list[Description], channel: ConditionalRDChannel
-) -> tuple[np.ndarray, DimSignature, int]:
-    """One strategy's own input block, its signature and its number of pairs.
+def _censor_sender(
+    pos: int,
+    st: SenderStrategy,
+    descs: list[Description],
+    channel: ConditionalRDChannel,
+    stacked: np.ndarray,
+) -> tuple[DensityOperator, int]:
+    """One strategy's censored block and its number of pairs.
 
-    An honest or untruthful sender contributes |i><i| (x) rho on one pair; a
-    correlated strategy contributes its joint operator over its own spans.
+    An honest or untruthful sender's message is its claim's label i, so its
+    block is the d^2 columns of label i times vec rho; a correlated strategy's
+    block is its joint operator over its own spans, censored pair by pair.
     """
     mdim = channel.message_dim
     sys = channel.system_dims
@@ -319,10 +336,10 @@ def _sender_block(
             raise ScenarioError(
                 f"sender {pos}: system dims {sent.dims} do not match register {sys}"
             )
-        proj = np.zeros((mdim, mdim), dtype=complex)
-        idx = channel.labels.index(descs[0].label)
-        proj[idx, idx] = 1.0
-        return np.kron(proj, sent.mat), (mdim,) + sys, 1
+        d2 = sent.dim**2
+        i = channel.labels.index(descs[0].label)
+        out = (stacked[:, i * d2 : (i + 1) * d2] @ sent.mat.reshape(-1)).reshape(sent.mat.shape)
+        return DensityOperator((out + out.conj().T) / 2, sys), 1
     if st.state is None:
         raise ScenarioError(f"correlated strategy {pos} must carry its joint operator")
     expected = ((mdim,) + sys) * st.spans
@@ -331,7 +348,7 @@ def _sender_block(
             f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
             "(message registers have one index per registered label plus one)"
         )
-    return st.state.mat, expected, st.spans
+    return _censor_joint(stacked, st.state.mat, st.spans, sys), st.spans
 
 
 def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
@@ -374,19 +391,22 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     sys = channel.system_dims
     n_senders = sum(st.spans if st.kind == "correlated" else 1 for st in scenario.strategies)
     reg_dim = int(np.prod(sys))
-    if reg_dim**n_senders > MAX_RECEIVER_DIM:
+    # every register is at least 2 wide, so this many registers are over the
+    # limit; their width is not built, as it can have too many digits to print
+    over = n_senders >= MAX_RECEIVER_DIM.bit_length()
+    if over or reg_dim**n_senders > MAX_RECEIVER_DIM:
+        width = f"{reg_dim}^{n_senders}" if over else reg_dim**n_senders
         raise ScenarioError(
-            f"the receiver state would be {reg_dim**n_senders} wide ({n_senders} registers "
+            f"the receiver state would be {width} wide ({n_senders} registers "
             f"of dimension {reg_dim}); the limit is {MAX_RECEIVER_DIM}"
         )
     noise_ch = _build_link_noise(scenario.noise, sys) if scenario.noise is not None else None
-    transfer = _pair_transfer(channel, noise_ch)
+    stacked = _stacked_transfer(channel, noise_ch)
     blocks: list[qrt.Block] = []
     distances: list[dict] | None = None if noise_ch is None else []
     sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
-        block, dims, spans = _sender_block(pos, st, descs, channel)
-        censored = _censor_pairs(block, dims, transfer, spans, sys)
+        censored, spans = _censor_sender(pos, st, descs, channel, stacked)
         blocks.append((censored, spans))
         if distances is not None and st.kind == "honest":
             sent = st.state if st.state is not None else descs[0].state

@@ -103,40 +103,6 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
     return reduced.reshape(d_keep, d_keep)
 
 
-def apply_transfer(
-    mat: np.ndarray,
-    dims: Sequence[int],
-    transfer: np.ndarray,
-    start: int,
-    stop: int,
-    out_dims: Sequence[int],
-) -> tuple[np.ndarray, DimSignature]:
-    """Apply a transfer matrix to the contiguous factors ``start:stop``.
-
-    ``transfer`` acts on the row-major vectorized operator of those factors,
-    shape (d_out^2, d_in^2); the chosen factors are replaced by factors of
-    dimensions ``out_dims`` and every other factor is left as it is. Returns
-    the new matrix and its signature.
-    """
-    arr = _square(mat)
-    sig = check_signature(dims, arr.shape[0])
-    if not 0 <= start < stop <= len(sig):
-        raise IndexError(f"factor range {start}:{stop} out of range for {len(sig)} factors")
-    out_sig = tuple(int(d) for d in out_dims)
-    left = math.prod(sig[:start])
-    d_in = math.prod(sig[start:stop])
-    right = math.prod(sig[stop:])
-    d_out = math.prod(out_sig)
-    t = np.asarray(transfer, dtype=complex)
-    if t.shape != (d_out * d_out, d_in * d_in):
-        raise ValueError(f"transfer shape {t.shape} != ({d_out * d_out}, {d_in * d_in})")
-    blocks = arr.reshape(left, d_in, right, left, d_in, right)
-    out = np.tensordot(t.reshape(d_out, d_out, d_in, d_in), blocks, axes=([2, 3], [1, 4]))
-    width = left * d_out * right
-    new_sig = sig[:start] + out_sig + sig[stop:]
-    return out.transpose(2, 0, 3, 4, 1, 5).reshape(width, width), new_sig
-
-
 def partial_transpose(
     rho: np.ndarray, dims: Sequence[int], subsystem: int | Iterable[int]
 ) -> np.ndarray:

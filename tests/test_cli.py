@@ -369,6 +369,7 @@ def _ensemble_terms(*shapes):
         (_with(_discord_breach_scenario(), senders__0__spans=1.9), ""),
         (_with(_discord_breach_scenario(), senders__0__spans=True), ""),
         (_with(_discord_breach_scenario(), senders__0__spans=0), ""),
+        (_with(_discord_breach_scenario(), senders__0__spans=10**6), "4^1000000 wide"),
         (_with(_honest_imaginarity_scenario(), senders__0__state__dims=[2.5]), ""),
         (_with(_entanglement_honest(), senders__0__ensemble__0__weight="w"), ""),
         (
@@ -429,6 +430,7 @@ def _ensemble_terms(*shapes):
         "spans-not-integral",
         "spans-bool",
         "spans-below-one",
+        "spans-huge",
         "dims-not-integral",
         "weight-not-number",
         "strength-not-number",

@@ -9,6 +9,8 @@ three pairs run on qubit registers, two-qubit registers run up to two pairs.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -100,12 +102,14 @@ PLANS = [
     (("correlated", 2),),
     (("honest", 1), ("correlated", 2)),
     (("untruthful", 1), ("honest", 1), ("untruthful", 1)),
+    (("correlated", 3),),
 ]
 
 
 def _cases():
     """Every theory meets every noise kind, both channel kinds and every plan
-    its registers allow; amplitude damping acts on one qubit only."""
+    its registers allow; amplitude damping acts on one qubit only. Qubit
+    registers also run the three-pair joint under every noise kind."""
     cases = []
     for theory, sys in sorted(SYSTEM_DIMS.items()):
         qubit = sys == (2,)
@@ -114,6 +118,8 @@ def _cases():
         plans = PLANS if qubit else PLANS[:5]
         for j, (kind, noise) in enumerate((k, n) for k in kinds for n in noises):
             cases.append((theory, kind, noise, plans[j % len(plans)]))
+    kinds = ("replacement", "eigen_dephasing")
+    cases.extend(("imaginarity", kinds[j % 2], n, PLANS[-1]) for j, n in enumerate(NOISE_KINDS))
     return cases
 
 
@@ -230,3 +236,28 @@ def test_product_senders_never_validate_the_joint(monkeypatch):
     assert dims == (2, 2) * 4
     marginal = linalg.partial_trace(receiver, dims, [4, 5])
     assert np.abs(marginal - sigma.mat).max() < 1e-12
+
+
+def test_many_labels_censor_without_a_transfer_quadratic_in_them():
+    # One correlated locality block registering 60 distinct labels (m = 61):
+    # its joint |0><0| (x) rho is 244 wide (0.91 MiB). Only the message
+    # diagonal reaches a branch, so the run must peak below twice the joint;
+    # a dense pair transfer alone, d^2 x (m d)^2, is 16 times the joint.
+    claims = [Claim(state=isotropic(2, k / 200)) for k in range(60)]
+    sigma = claims[0].state
+    proj = np.zeros((61, 61))
+    proj[0, 0] = 1.0
+    joint = DensityOperator(np.kron(proj, sigma.mat), (61, 2, 2))
+    scenario = NetworkScenario(
+        "locality", "replacement", [SenderStrategy("correlated", state=joint, claimed=claims)]
+    )
+    tracemalloc.start()
+    try:
+        report = run_protocol(scenario)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * joint.mat.nbytes
+    (block, spans), = report.blocks
+    assert spans == 1
+    assert np.abs(block.mat - sigma.mat).max() < TOL

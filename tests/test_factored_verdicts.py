@@ -248,9 +248,9 @@ def _spy(monkeypatch, owner, name: str, record, of_result: bool = False) -> None
 
 
 def test_five_sender_locality_run_never_builds_a_wide_cut(monkeypatch):
-    # The receiver is 1024 wide; run_protocol builds nothing wider than one
-    # sender's message+system input block (2 x 4) and diagonalizes nothing
-    # wider than one censored block (4).
+    # The receiver is 1024 wide; run_protocol makes no Kronecker product (an
+    # honest sender's block is censored without its message register) and
+    # diagonalizes nothing wider than one censored block (4).
     p = 0.3
     scenario = NetworkScenario(
         theory="locality",
@@ -278,7 +278,7 @@ def test_five_sender_locality_run_never_builds_a_wide_cut(monkeypatch):
     assert max(widths["min_eigenvalue"]) <= 4
     assert max(widths.get("partial_trace", [0])) <= 4
     assert max(widths.get("kron_all", [0])) <= 8
-    assert max(widths["kron"]) == 8  # |i><i| (x) rho, one sender's input block
+    assert "kron" not in widths
     assert wide_eigen == []
 
     receiver, dims = report.render_receiver()

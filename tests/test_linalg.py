@@ -312,56 +312,3 @@ def test_signature_validation():
     with pytest.raises(ValueError):
         linalg.check_signature((1, 4), 4)
     assert linalg.check_signature([2, 3], 6) == (2, 3)
-
-
-# ---------------------------------------------------------- apply_transfer
-
-
-def _matrix_unit(d_rows, d_cols, a, b):
-    unit = np.zeros((d_rows, d_cols), dtype=complex)
-    unit[a, b] = 1.0
-    return unit
-
-
-@given(
-    st.lists(st.integers(2, 3), min_size=1, max_size=3),
-    st.data(),
-    st.lists(st.integers(2, 3), min_size=1, max_size=2),
-    st.integers(0, 10_000),
-)
-@settings(max_examples=25)
-def test_apply_transfer_matches_kronecker_lifted_transfer(dims, data, out_dims, seed):
-    start = data.draw(st.integers(0, len(dims) - 1))
-    stop = data.draw(st.integers(start + 1, len(dims)))
-    rng = np.random.default_rng(seed)
-    left = math.prod(dims[:start])
-    d_in = math.prod(dims[start:stop])
-    right = math.prod(dims[stop:])
-    d_out = math.prod(out_dims)
-    assume(left * d_in * right <= 12 and left * d_out * right <= 12 and d_in * d_out <= 24)
-    transfer = rng.standard_normal((d_out**2, d_in**2)) + 1j * rng.standard_normal(
-        (d_out**2, d_in**2)
-    )
-    x = _rand_matrix(rng, math.prod(dims))
-    out, sig = linalg.apply_transfer(x, dims, transfer, start, stop, out_dims)
-    # The transfer written over matrix units, each lifted by identities:
-    # T = sum T[(o,o'),(a,a')] |o><a| (x) |o'><a'| acts as X -> E_oa X E_a'o'.
-    lift_l = np.eye(left)
-    lift_r = np.eye(right)
-    full = np.zeros(((left * d_out * right) ** 2, (left * d_in * right) ** 2), dtype=complex)
-    for (o, o2, a, a2), value in np.ndenumerate(transfer.reshape(d_out, d_out, d_in, d_in)):
-        row_op = np.kron(np.kron(lift_l, _matrix_unit(d_out, d_in, o, a)), lift_r)
-        col_op = np.kron(np.kron(lift_l, _matrix_unit(d_in, d_out, a2, o2)), lift_r)
-        full += value * np.kron(row_op, col_op.T)
-    width = left * d_out * right
-    expected = (full @ x.reshape(-1)).reshape(width, width)
-    assert sig == tuple(dims[:start]) + tuple(out_dims) + tuple(dims[stop:])
-    assert np.abs(out - expected).max() < 1e-12 * max(1.0, float(np.abs(expected).max()))
-
-
-def test_apply_transfer_rejects_bad_shapes():
-    x = np.eye(4, dtype=complex) / 4
-    with pytest.raises(ValueError):
-        linalg.apply_transfer(x, (2, 2), np.eye(4), 0, 2, (2, 2))
-    with pytest.raises(IndexError):
-        linalg.apply_transfer(x, (2, 2), np.eye(4), 1, 3, (2,))
