@@ -16,6 +16,7 @@ is read on its message diagonal and censored one pair per matmul.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +25,7 @@ from . import linalg, qrt
 from .channels import ChannelSpec, KrausChannel, dephasing_channel, replacement_channel
 from .linalg import DimSignature
 from .qrt import Description
-from .states import RNG_ALGORITHMS, DensityOperator, make_rng, maximally_mixed
+from .states import DensityOperator, make_rng, maximally_mixed
 
 # Widest receiver table a report renders; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
@@ -49,37 +50,26 @@ def encode_description(
 
 @dataclass(frozen=True, eq=False)
 class ConditionalRDChannel:
-    """Per-label branch channels plus a default branch for unknown labels.
+    """One branch channel per message outcome, in message order.
 
-    The message basis is the registration order of the labels, with one
-    extra reserved index for anything unrecognized.
+    The message basis is the registration order of the labels plus one
+    reserved last outcome for anything unrecognized, whose branch replaces
+    the system by I/d.
     """
 
     theory: str
     kind: str
-    labels: tuple[bytes, ...]
     descriptions: tuple[Description, ...]
-    branches: dict[bytes, KrausChannel]
-    default_branch: KrausChannel
     system_dims: DimSignature
+    branches: tuple[KrausChannel, ...]
+
+    @cached_property
+    def labels(self) -> tuple[bytes, ...]:
+        return tuple(d.label for d in self.descriptions)
 
     @property
     def message_dim(self) -> int:
-        return len(self.labels) + 1
-
-    def branch_for_label(self, label: bytes) -> KrausChannel:
-        return self.branches.get(label, self.default_branch)
-
-    def branch_for_index(self, index: int) -> KrausChannel:
-        if 0 <= index < len(self.labels):
-            return self.branches[self.labels[index]]
-        return self.default_branch
-
-    def target_for_index(self, index: int) -> DensityOperator:
-        """Replacement target of branch ``index`` (meaningful for kind='replacement')."""
-        if 0 <= index < len(self.labels):
-            return self.descriptions[index].state
-        return maximally_mixed(self.system_dims)
+        return len(self.branches)
 
 
 def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
@@ -87,10 +77,7 @@ def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
 
 
 def build_conditional_channel(
-    theory: str,
-    kind: str,
-    descriptions: Iterable[Description],
-    system_dims: Sequence[int] | None = None,
+    theory: str, kind: str, descriptions: Iterable[Description]
 ) -> ConditionalRDChannel:
     """Assemble the conditional channel from registered descriptions.
 
@@ -116,41 +103,32 @@ def build_conditional_channel(
     for d in descs:
         if d.theory != theory:
             raise ValueError(f"description theory {d.theory!r} does not match {theory!r}")
-    sig = tuple(system_dims) if system_dims is not None else descs[0].state.dims
-    labels: list[bytes] = []
+    sig = descs[0].state.dims
     registered: dict[bytes, Description] = {}
     for d in descs:
         if d.state.dims != sig:
             raise ValueError("description register dimensions are inconsistent")
-        if d.label in registered:
-            prior = registered[d.label]
-            if (
-                kind == "replacement"
-                and linalg.hs_distance(prior.state.mat, d.state.mat) > qrt.TOL_CLAIM_MATCH
-            ):
-                raise ValueError(
-                    "label collision: two distinct states map to the same description "
-                    "label, which a replacement branch cannot serve"
-                )
-            continue
-        registered[d.label] = d
-        labels.append(d.label)
-    branches: dict[bytes, KrausChannel] = {}
-    for label in labels:
-        d = registered[label]
-        if kind == "replacement":
-            branches[label] = replacement_channel(d.state, in_dims=sig)
-        else:
-            branches[label] = _eigen_dephasing_branch(d.state)
+        prior = registered.setdefault(d.label, d)  # a repeated label keeps its first
+        if (
+            kind == "replacement"
+            and prior is not d
+            and linalg.hs_distance(prior.state.mat, d.state.mat) > qrt.TOL_CLAIM_MATCH
+        ):
+            raise ValueError(
+                "label collision: two distinct states map to the same description "
+                "label, which a replacement branch cannot serve"
+            )
+    if kind == "replacement":
+        branches = [replacement_channel(d.state, in_dims=sig) for d in registered.values()]
+    else:
+        branches = [_eigen_dephasing_branch(d.state) for d in registered.values()]
     default = replacement_channel(maximally_mixed(sig), in_dims=sig)
     return ConditionalRDChannel(
         theory=theory,
         kind=kind,
-        labels=tuple(labels),
-        descriptions=tuple(registered[label] for label in labels),
-        branches=branches,
-        default_branch=default,
+        descriptions=tuple(registered.values()),
         system_dims=sig,
+        branches=(*branches, default),
     )
 
 
@@ -160,8 +138,8 @@ def _stacked_transfer(ch: ConditionalRDChannel, noise: KrausChannel | None = Non
     Column (i, s, s') is column (s, s') of T_Bi T_N, so the d^2 columns of
     label i censor the system block that message outcome i selects.
     """
-    branches = (ch.branch_for_index(i).transfer for i in range(ch.message_dim))
-    return np.hstack([t if noise is None else t @ noise.transfer for t in branches])
+    transfers = (b.transfer for b in ch.branches)
+    return np.hstack([t if noise is None else t @ noise.transfer for t in transfers])
 
 
 def _censor_joint(
@@ -188,23 +166,9 @@ def _censor_joint(
     return DensityOperator((out + out.conj().T) / 2, sys * n_pairs)
 
 
-def _validate_joint_layout(
-    joint: DensityOperator, message_dim: int, system_dims: DimSignature
-) -> int:
-    group = 1 + len(system_dims)
-    if len(joint.dims) % group != 0:
-        raise ValueError(
-            f"joint signature {joint.dims} does not tile into message+system groups"
-        )
-    n = len(joint.dims) // group
-    for k in range(n):
-        if joint.dims[k * group] != message_dim:
-            raise ValueError(
-                f"register {k}: message dimension {joint.dims[k * group]} != {message_dim}"
-            )
-        if joint.dims[k * group + 1 : (k + 1) * group] != system_dims:
-            raise ValueError(f"register {k}: system dimensions do not match {system_dims}")
-    return n
+def _pair_dims(ch: ConditionalRDChannel, n: int) -> DimSignature:
+    """The layout of a joint over n message+system pairs."""
+    return ((ch.message_dim,) + ch.system_dims) * n
 
 
 def apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator) -> DensityOperator:
@@ -215,7 +179,11 @@ def apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator) -> Densit
     that sender's system block. The output lives on the system registers
     only and has unit trace.
     """
-    n = _validate_joint_layout(joint, ch.message_dim, ch.system_dims)
+    n = len(joint.dims) // (1 + len(ch.system_dims))
+    if joint.dims != _pair_dims(ch, n):
+        raise ValueError(
+            f"joint dims {joint.dims} are not message+system pairs {_pair_dims(ch, 1)}"
+        )
     return _censor_joint(_stacked_transfer(ch), joint.mat, n, ch.system_dims)
 
 
@@ -227,7 +195,7 @@ class Claim:
     ensemble: list | None = None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SenderStrategy:
     """One sender's input: honest, untruthful, or correlated across registers.
 
@@ -235,6 +203,8 @@ class SenderStrategy:
     untruthful  arbitrary system state with a free-state claim
     correlated  explicit joint operator over ``spans`` message+system
                 register pairs, with one claim per contributed label
+
+    A strategy of the wrong shape raises ScenarioError when it is built.
     """
 
     kind: str
@@ -242,6 +212,23 @@ class SenderStrategy:
     ensemble: list | None = None
     claimed: Description | Claim | Sequence | None = None
     spans: int = 1
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("honest", "untruthful", "correlated"):
+            raise ScenarioError(f"unknown kind {self.kind!r}")
+        if self.kind == "honest" and self.state is None and self.ensemble is None:
+            raise ScenarioError("honest strategy needs a state or an ensemble")
+        if self.kind == "untruthful" and (self.state is None or self.claimed is None):
+            raise ScenarioError("untruthful strategy needs a state and a claim")
+        if self.kind != "correlated" and isinstance(self.claimed, (list, tuple)):
+            raise ScenarioError(f"{self.kind} strategy makes one claim, not a list")
+        if self.kind == "correlated" and (
+            self.state is None or not isinstance(self.claimed, (list, tuple)) or not self.claimed
+        ):
+            raise ScenarioError("correlated strategy needs a joint state and a list of claims")
+        if self.spans < 1 or (self.kind != "correlated" and self.spans != 1):
+            need = "at least 1" if self.kind == "correlated" else f"1 for an {self.kind} sender"
+            raise ScenarioError(f"'spans' must be {need}, got {self.spans}")
 
 
 @dataclass
@@ -251,7 +238,6 @@ class NetworkScenario:
     strategies: list[SenderStrategy]
     noise: ChannelSpec | None = None
     seed: int | None = None
-    rng_algorithm: str = "pcg64"
 
 
 @dataclass
@@ -300,18 +286,9 @@ def _strategy_descriptions(scenario: NetworkScenario) -> list[list[Description]]
                     )
             per_strategy.append([desc])
         elif st.kind == "untruthful":
-            if st.claimed is None:
-                raise ScenarioError(f"untruthful sender {pos} must supply a claimed description")
             per_strategy.append([_to_description(scenario.theory, st.claimed)])
-        elif st.kind == "correlated":
-            claims = st.claimed if isinstance(st.claimed, (list, tuple)) else []
-            if not claims:
-                raise ScenarioError(
-                    f"correlated strategy {pos} must list the descriptions it registers"
-                )
-            per_strategy.append([_to_description(scenario.theory, c) for c in claims])
         else:
-            raise ScenarioError(f"unknown strategy kind {st.kind!r}")
+            per_strategy.append([_to_description(scenario.theory, c) for c in st.claimed])
     return per_strategy
 
 
@@ -321,34 +298,29 @@ def _censor_sender(
     descs: list[Description],
     channel: ConditionalRDChannel,
     stacked: np.ndarray,
-) -> tuple[DensityOperator, int]:
-    """One strategy's censored block and its number of pairs.
+) -> DensityOperator:
+    """One strategy's censored block.
 
     An honest or untruthful sender's message is its claim's label i, so its
     block is the d^2 columns of label i times vec rho; a correlated strategy's
     block is its joint operator over its own spans, censored pair by pair.
     """
-    mdim = channel.message_dim
     sys = channel.system_dims
-    if st.kind in ("honest", "untruthful"):
-        sent = st.state if st.state is not None else descs[0].state
-        if sent.dims != sys:
+    if st.kind == "correlated":
+        expected = _pair_dims(channel, st.spans)
+        if st.state.dims != expected:
             raise ScenarioError(
-                f"sender {pos}: system dims {sent.dims} do not match register {sys}"
+                f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
+                "(message registers have one index per registered label plus one)"
             )
-        d2 = sent.dim**2
-        i = channel.labels.index(descs[0].label)
-        out = (stacked[:, i * d2 : (i + 1) * d2] @ sent.mat.reshape(-1)).reshape(sent.mat.shape)
-        return DensityOperator((out + out.conj().T) / 2, sys), 1
-    if st.state is None:
-        raise ScenarioError(f"correlated strategy {pos} must carry its joint operator")
-    expected = ((mdim,) + sys) * st.spans
-    if st.state.dims != expected:
-        raise ScenarioError(
-            f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
-            "(message registers have one index per registered label plus one)"
-        )
-    return _censor_joint(stacked, st.state.mat, st.spans, sys), st.spans
+        return _censor_joint(stacked, st.state.mat, st.spans, sys)
+    sent = st.state if st.state is not None else descs[0].state
+    if sent.dims != sys:
+        raise ScenarioError(f"sender {pos}: system dims {sent.dims} do not match register {sys}")
+    d2 = sent.dim**2
+    i = channel.labels.index(descs[0].label)
+    out = (stacked[:, i * d2 : (i + 1) * d2] @ sent.mat.reshape(-1)).reshape(sent.mat.shape)
+    return DensityOperator((out + out.conj().T) / 2, sys)
 
 
 def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
@@ -378,10 +350,6 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
         theory = qrt.get_theory(scenario.theory)
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
-    if scenario.rng_algorithm.lower() not in RNG_ALGORITHMS:
-        raise ScenarioError(
-            f"unsupported rng algorithm {scenario.rng_algorithm!r}; known: {RNG_ALGORITHMS}"
-        )
     per_strategy = _strategy_descriptions(scenario)
     all_descs = [d for group in per_strategy for d in group]
     try:
@@ -389,7 +357,7 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     except ValueError as exc:
         raise ScenarioError(str(exc)) from exc
     sys = channel.system_dims
-    n_senders = sum(st.spans if st.kind == "correlated" else 1 for st in scenario.strategies)
+    n_senders = sum(st.spans for st in scenario.strategies)
     reg_dim = int(np.prod(sys))
     # every register is at least 2 wide, so this many registers are over the
     # limit; their width is not built, as it can have too many digits to print
@@ -406,8 +374,8 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     distances: list[dict] | None = None if noise_ch is None else []
     sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
-        censored, spans = _censor_sender(pos, st, descs, channel, stacked)
-        blocks.append((censored, spans))
+        censored = _censor_sender(pos, st, descs, channel, stacked)
+        blocks.append((censored, st.spans))
         if distances is not None and st.kind == "honest":
             sent = st.state if st.state is not None else descs[0].state
             distances.append(
@@ -417,7 +385,7 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
                     "d_censored": linalg.hs_distance(sent.mat, censored.mat),
                 }
             )
-        sender_pos += spans
+        sender_pos += st.spans
     verdicts, notes = theory.judge(blocks)
     primary = verdicts[scenario.theory]
     breach = (not primary.is_free) and primary.decisive

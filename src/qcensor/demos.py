@@ -14,11 +14,12 @@ from .censorship import (
     Claim,
     NetworkScenario,
     SenderStrategy,
+    _eigen_dephasing_branch,
     encode_description,
     noise_comparison,
     run_protocol,
 )
-from .channels import ChannelSpec, amplitude_damping, apply, dephasing_channel
+from .channels import ChannelSpec, amplitude_damping, apply
 from .states import DensityOperator, bell_phi_plus, from_pure, isotropic, tensor
 
 DEMO_SEED = 2024
@@ -58,10 +59,10 @@ def bell_filter_demo() -> CensorshipReport:
         {
             "claimed_description": desc.label.decode(),
             "filtered_distance_to_claimed": linalg.hs_distance(
-                report.render_receiver()[0], claimed_state.mat
+                report.blocks[0][0].mat, claimed_state.mat
             ),
             "honest_roundtrip_distance": linalg.hs_distance(
-                honest_report.render_receiver()[0], claimed_state.mat
+                honest_report.blocks[0][0].mat, claimed_state.mat
             ),
         }
     )
@@ -76,7 +77,7 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     from its description passes that vector through untouched.
     """
     sigma = isotropic(2, 1.0 / 3.0)
-    branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), dims=(2, 2))
+    branch = _eigen_dephasing_branch(sigma)
     phi = bell_phi_plus(2)
     receiver = apply(branch, phi)
     fixed = apply(branch, sigma)
@@ -161,11 +162,7 @@ def nonlocal_activation_demo(n_senders: int = 2, p: float = 5 / 12) -> Censorshi
     )
     report = run_protocol(scenario)
     lower, upper = qrt.isotropic_local_range(2)
-    receiver, dims = report.render_receiver()
-    worst = 0.0
-    for k in range(n_senders):
-        marg = linalg.partial_trace(receiver, dims, [2 * k, 2 * k + 1])
-        worst = max(worst, linalg.hs_distance(marg, sigma.mat))
+    worst = max(linalg.hs_distance(block.mat, sigma.mat) for block, _ in report.blocks)
     report.extras.update(
         {
             "mixing_parameter": p,

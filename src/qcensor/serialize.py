@@ -132,30 +132,18 @@ def noise_from_json(obj: Any) -> ChannelSpec:
 def _strategy_from_json(obj: Any, pos: int) -> SenderStrategy:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ScenarioError(f"sender {pos} must be an object with a 'kind'")
-    kind = str(obj["kind"])
-    if kind not in ("honest", "untruthful", "correlated"):
-        raise ScenarioError(f"sender {pos}: unknown kind {kind!r}")
     state = state_from_json(obj["state"], f"sender {pos} state") if "state" in obj else None
     ensemble = ensemble_from_json(obj["ensemble"]) if "ensemble" in obj else None
-    claimed = None
-    if "claimed" in obj and obj["claimed"] is not None:
-        raw = obj["claimed"]
-        if kind == "correlated":
-            if not isinstance(raw, list):
-                raise ScenarioError(f"sender {pos}: correlated claims must be a list")
-            claimed = [claim_from_json(c) for c in raw]
-        else:
-            claimed = claim_from_json(raw)
+    raw = obj.get("claimed")
+    if isinstance(raw, list):
+        claimed = [claim_from_json(c) for c in raw]
+    else:
+        claimed = None if raw is None else claim_from_json(raw)
     spans = _integer(obj.get("spans", 1), f"sender {pos} 'spans'")
-    if spans < 1:
-        raise ScenarioError(f"sender {pos}: 'spans' must be at least 1, got {spans}")
-    if kind == "honest" and state is None and ensemble is None:
-        raise ScenarioError(f"sender {pos}: honest strategy needs a state or ensemble")
-    if kind == "untruthful" and (state is None or claimed is None):
-        raise ScenarioError(f"sender {pos}: untruthful strategy needs a state and a claim")
-    if kind == "correlated" and (state is None or claimed is None):
-        raise ScenarioError(f"sender {pos}: correlated strategy needs a joint state and claims")
-    return SenderStrategy(kind=kind, state=state, ensemble=ensemble, claimed=claimed, spans=spans)
+    try:
+        return SenderStrategy(str(obj["kind"]), state, ensemble, claimed, spans)
+    except ScenarioError as exc:
+        raise ScenarioError(f"sender {pos}: {exc}") from exc
 
 
 def scenario_from_json(obj: Any) -> NetworkScenario:
@@ -167,6 +155,9 @@ def scenario_from_json(obj: Any) -> NetworkScenario:
     senders = obj["senders"]
     if not isinstance(senders, list) or not senders:
         raise ScenarioError("scenario needs a non-empty 'senders' list")
+    rng = str(obj.get("rng", "pcg64"))
+    if rng.lower() != "pcg64":
+        raise ScenarioError(f"unsupported rng {rng!r}; the only one is 'pcg64'")
     strategies = [_strategy_from_json(s, i) for i, s in enumerate(senders)]
     noise = noise_from_json(obj["noise"]) if obj.get("noise") is not None else None
     seed = obj.get("seed")
@@ -176,7 +167,6 @@ def scenario_from_json(obj: Any) -> NetworkScenario:
         strategies=strategies,
         noise=noise,
         seed=None if seed is None else _integer(seed, "'seed'"),
-        rng_algorithm=str(obj.get("rng", "pcg64")),
     )
 
 

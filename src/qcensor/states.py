@@ -13,13 +13,9 @@ from .linalg import DimSignature
 TOL_TRACE = 1e-9
 FROM_PURE_NORM_TOL = 1e-6
 
-RNG_ALGORITHMS = ("pcg64",)
 
-
-def make_rng(seed: int | None, algorithm: str = "pcg64") -> np.random.Generator:
-    """Seeded generator; only named algorithms are accepted, for reproducibility."""
-    if algorithm.lower() not in RNG_ALGORITHMS:
-        raise ValueError(f"unsupported rng algorithm {algorithm!r}; known: {RNG_ALGORITHMS}")
+def make_rng(seed: int | None) -> np.random.Generator:
+    """The seeded PCG64 generator behind every random draw."""
     return np.random.Generator(np.random.PCG64(seed))
 
 

@@ -112,12 +112,12 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
         # independent reconstruction from the diagonal message blocks
         tensor = joint.mat.reshape(joint.dims + joint.dims)
         weights = np.einsum(tensor, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5], [0, 3]).real
+        # each registered description replaces its system; the reserved index gives I/4
+        targets = [d.state for d in ch.descriptions] + [maximally_mixed((2, 2))]
         expected = np.zeros((16, 16), dtype=complex)
         for i in range(m):
             for j in range(m):
-                expected += weights[i, j] * np.kron(
-                    ch.target_for_index(i).mat, ch.target_for_index(j).mat
-                )
+                expected += weights[i, j] * np.kron(targets[i].mat, targets[j].mat)
         result.record("mixture_reconstruction", float(np.abs(receiver.mat - expected).max()), 1e-9)
         ppt = qrt.ppt_all_cuts(receiver).witness_value
         result.record("ppt_negativity", -min(0.0, ppt), 1e-9)
@@ -205,15 +205,14 @@ def _branch_condition_defects(
     free_defect = 0.0
     dims = ch.system_dims
     dim = int(np.prod(dims))
-    branches = [ch.branch_for_index(i) for i in range(ch.message_dim)]
     for _ in range(samples):
         probe = random_density(dim, dim, rng, dims=dims)
-        for branch in branches:
+        for branch in ch.branches:
             out = DensityOperator(branch.apply_matrix(probe.mat), dims)
             free_defect = max(free_defect, excess(out))
     fixed_defect = 0.0
-    for desc, label in zip(ch.descriptions, ch.labels):
-        out = ch.branch_for_label(label).apply_matrix(desc.state.mat)
+    for desc, branch in zip(ch.descriptions, ch.branches):
+        out = branch.apply_matrix(desc.state.mat)
         fixed_defect = max(fixed_defect, float(np.abs(out - desc.state.mat).max()))
     return free_defect, fixed_defect
 
@@ -264,8 +263,7 @@ def suite_channel_axioms(samples: int = 100, seed: int = 3) -> SuiteResult:
         kind = "replacement" if qrt.THEORIES[theory].sample_free is None else "eigen_dephasing"
         descs = [encode_description(theory, c.state, c.ensemble) for c in theory_claims]
         ch = build_conditional_channel(theory, kind, descs)
-        for i in range(ch.message_dim):
-            branch = ch.branch_for_index(i)
+        for branch in ch.branches:
             probe = random_density(branch.in_dim, branch.in_dim, rng)
             out = branch.apply_matrix(probe.mat)
             result.record("trace_preservation", abs(float(out.trace().real) - 1.0), 1e-10)

@@ -47,7 +47,6 @@ from qcensor.censorship import (
     ConditionalRDChannel,
     NetworkScenario,
     _strategy_descriptions,
-    _validate_joint_layout,
     build_conditional_channel,
 )
 from qcensor.channels import KrausChannel
@@ -99,8 +98,10 @@ def lifted_kraus_apply(
 def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
     """Receiver matrix of ``apply_censorship`` by the message-combination loop."""
     message_dim = len(ch.labels) + 1
-    n = _validate_joint_layout(joint, message_dim, ch.system_dims)
     group = 1 + len(ch.system_dims)
+    n = len(joint.dims) // group
+    if joint.dims != ((message_dim,) + ch.system_dims) * n:
+        raise ValueError(f"joint dims {joint.dims} are not message+system pairs")
     n_factors = len(joint.dims)
     reg_dim = int(np.prod(ch.system_dims))
     total = reg_dim**n
@@ -115,8 +116,7 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
             indexer[n_factors + message_axes[k]] = i
         block = tensor[tuple(indexer)].reshape(total, total)
         for k, i in enumerate(combo):
-            branch = ch.branch_for_label(ch.labels[i]) if i < len(ch.labels) else ch.default_branch
-            block = lifted_kraus_apply(block, branch, k, n, reg_dim)
+            block = lifted_kraus_apply(block, ch.branches[i], k, n, reg_dim)
         out += block
     return (out + out.conj().T) / 2
 
@@ -176,7 +176,8 @@ def dense_run_protocol(scenario: NetworkScenario) -> tuple[np.ndarray, list[dict
             if st.kind == "honest":
                 sent = st.state if st.state is not None else descs[0].state
                 noisy = kraus_apply(noise_ch.kraus, sent.mat)
-                censored = kraus_apply(channel.branch_for_label(descs[0].label).kraus, noisy)
+                branch = channel.branches[channel.labels.index(descs[0].label)]
+                censored = kraus_apply(branch.kraus, noisy)
                 distances.append(
                     {
                         "sender": sender_pos,

@@ -183,7 +183,7 @@ def test_eigen_dephasing_branch_matches_probability_transfer():
     sigma = random_real_density(2, 2, make_rng(0))
     desc = encode_description("imaginarity", sigma)
     ch = build_conditional_channel("imaginarity", "eigen_dephasing", [desc])
-    branch = ch.branch_for_label(desc.label)
+    branch, _ = ch.branches  # the described label, then the reserved default
     rho = random_density(2, 2, make_rng(1))
     lam, phi = linalg.hermitian_eig(rho.mat)
     _, basis = linalg.hermitian_eig(sigma.mat)
@@ -197,7 +197,7 @@ def test_eigen_dephasing_branch_matches_probability_transfer():
 def test_replacement_branch_for_entanglement():
     desc = encode_description("entanglement", ensemble=[(1.0, (PLUS, MINUS))])
     ch = build_conditional_channel("entanglement", "replacement", [desc])
-    out = ch.branch_for_label(desc.label).apply_matrix(bell_phi_plus(2).mat)
+    out = ch.branches[0].apply_matrix(bell_phi_plus(2).mat)
     assert np.abs(out - desc.state.mat).max() < 1e-12
 
 
@@ -269,9 +269,11 @@ def test_default_branch_on_unknown_label():
     ch = build_conditional_channel(
         "imaginarity", "eigen_dephasing", [encode_description("imaginarity", sigma)]
     )
-    out = ch.branch_for_label(b"garbage").apply_matrix(from_pure(PLUS).mat)
-    assert np.abs(out - np.eye(2) / 2).max() < 1e-12
-    assert np.abs(ch.branch_for_index(5).apply_matrix(sigma.mat) - np.eye(2) / 2).max() < 1e-12
+    # the reserved last message outcome replaces any input by I/2
+    assert ch.labels == (ch.descriptions[0].label,) and len(ch.branches) == ch.message_dim == 2
+    default = ch.branches[-1]
+    assert np.abs(default.apply_matrix(from_pure(PLUS).mat) - np.eye(2) / 2).max() < 1e-12
+    assert np.abs(default.apply_matrix(sigma.mat) - np.eye(2) / 2).max() < 1e-12
 
 
 # --------------------------------------------------------- apply_censorship
@@ -312,9 +314,7 @@ def test_message_superposition_splits_into_branch_mixture():
     sup[0] = sup[1] = 1 / np.sqrt(2)
     joint = DensityOperator(np.kron(np.outer(sup, sup.conj()), a.mat), (3, 2))
     out = apply_censorship(ch, joint)
-    expected = 0.5 * ch.branch_for_index(0).apply_matrix(a.mat) + 0.5 * ch.branch_for_index(
-        1
-    ).apply_matrix(a.mat)
+    expected = 0.5 * ch.branches[0].apply_matrix(a.mat) + 0.5 * ch.branches[1].apply_matrix(a.mat)
     assert np.abs(out.mat - expected).max() < 1e-12
 
 
@@ -507,10 +507,45 @@ def test_noise_scenario_records_distances():
     assert qrt.is_free_imaginarity(DensityOperator(*report.render_receiver())).is_free
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda s: SenderStrategy("untruthful", claimed=Claim(state=s)), "needs a state and a claim"),
+        (lambda s: SenderStrategy("honest", state=s, spans=3), "must be 1 for an honest sender"),
+        (
+            lambda s: SenderStrategy("untruthful", state=s, claimed=[Claim(state=s)]),
+            "makes one claim, not a list",
+        ),
+        (
+            lambda s: SenderStrategy("correlated", state=s, claimed=[Claim(state=s)], spans=0),
+            "must be at least 1, got 0",
+        ),
+        (lambda s: SenderStrategy("correlated", state=s, claimed=[]), "a list of claims"),
+        (lambda s: SenderStrategy("correlated", claimed=[Claim(state=s)]), "a joint state"),
+        (lambda s: SenderStrategy("honest"), "needs a state or an ensemble"),
+        (lambda s: SenderStrategy("gossip", state=s), "unknown kind 'gossip'"),
+    ],
+    ids=[
+        "untruthful-without-state",
+        "spans-on-honest",
+        "untruthful-claim-list",
+        "correlated-spans-zero",
+        "correlated-no-claims",
+        "correlated-no-joint",
+        "honest-empty",
+        "unknown-kind",
+    ],
+)
+def test_strategy_of_wrong_shape_rejected_when_built(make, message):
+    sigma = DensityOperator(np.diag([0.5, 0.5]).astype(complex), (2,))
+    with pytest.raises(ScenarioError, match=message):
+        make(sigma)
+
+
 def test_unknown_theory_and_kind_rejected():
-    with pytest.raises(ValueError):
-        run_protocol(NetworkScenario("magic", "replacement", [SenderStrategy("honest")]))
     rho = DensityOperator(np.diag([0.5, 0.5]).astype(complex), (2,))
+    with pytest.raises(ScenarioError):
+        run_protocol(NetworkScenario("magic", "replacement", [SenderStrategy("honest", state=rho)]))
     with pytest.raises(ScenarioError):
         run_protocol(NetworkScenario("coherence", "twirl", [SenderStrategy("honest", state=rho)]))
 
@@ -598,11 +633,10 @@ def test_convex_receivers_reconstruct_mini():
         receiver = apply_censorship(ch, joint)
         tensor_form = joint.mat.reshape(joint.dims + joint.dims)
         weights = np.einsum(tensor_form, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5], [0, 3]).real
+        targets = [d.state.mat for d in ch.descriptions] + [np.eye(4) / 4]
         expected = np.zeros((16, 16), dtype=complex)
         for i in range(m):
             for j in range(m):
-                expected += weights[i, j] * np.kron(
-                    ch.target_for_index(i).mat, ch.target_for_index(j).mat
-                )
+                expected += weights[i, j] * np.kron(targets[i], targets[j])
         assert np.abs(receiver.mat - expected).max() <= 1e-9
         assert qrt.ppt_all_cuts(receiver).is_free

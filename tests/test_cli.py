@@ -421,6 +421,11 @@ def _ensemble_terms(*shapes):
             ),
             "honest sender 0: state is not real",
         ),
+        (
+            _with(_honest_imaginarity_scenario(), senders__0__spans=3),
+            "sender 0: 'spans' must be 1 for an honest sender, got 3",
+        ),
+        (_with(_honest_imaginarity_scenario(), rng="xorshift"), "unsupported rng 'xorshift'"),
     ],
     ids=[
         "seed-not-int",
@@ -446,6 +451,8 @@ def _ensemble_terms(*shapes):
         "unnormalized-amplitudes",
         "weights-not-summing-to-one",
         "honest-state-not-real",
+        "spans-on-honest",
+        "rng-unknown",
     ],
 )
 def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_path, capsys):

@@ -22,7 +22,6 @@ from qcensor.censorship import (
     Claim,
     NetworkScenario,
     SenderStrategy,
-    _strategy_descriptions,
     apply_censorship,
     build_conditional_channel,
     encode_description,
@@ -120,7 +119,13 @@ def _cases():
             cases.append((theory, kind, noise, plans[j % len(plans)]))
     kinds = ("replacement", "eigen_dephasing")
     cases.extend(("imaginarity", kinds[j % 2], n, PLANS[-1]) for j, n in enumerate(NOISE_KINDS))
-    return cases
+    # each case is named by its contents, so adding one renames no other; one
+    # case is built twice above and runs once
+    named = []
+    for theory, kind, noise, plan in dict.fromkeys(cases):
+        steps = "+".join(f"{k}{spans}" for k, spans in plan)
+        named.append(pytest.param(theory, kind, noise, plan, id=f"{theory}-{kind}-{noise}-plan-{steps}"))
+    return named
 
 
 @st.composite
@@ -136,32 +141,34 @@ def scenarios(draw, theory, channel_kind, noise_kind, plan):
     rng = make_rng(draw(st.integers(0, 2**32 - 1)))
 
     pool = [_free_source(theory, rng) for _ in range(n_labels)]
-
-    def pick():
-        return pool[draw(st.integers(0, n_labels - 1))]
+    # the pool sources each strategy describes: one, or one per correlated claim
+    sources = [
+        [
+            pool[draw(st.integers(0, n_labels - 1))]
+            for _ in range(draw(st.integers(1, 2)) if kind == "correlated" else 1)
+        ]
+        for kind, _ in plan
+    ]
+    # correlated joints are sized by the message dimension of the whole channel
+    descs = [encode_description(theory, *source) for group in sources for source in group]
+    mdim = build_conditional_channel(theory, channel_kind, descs).message_dim
 
     strategies = []
-    for kind, spans in plan:
+    for (kind, spans), group in zip(plan, sources):
         if kind == "honest":
-            state, ensemble = pick()
+            state, ensemble = group[0]
             strategies.append(SenderStrategy("honest", state=state, ensemble=ensemble))
         elif kind == "untruthful":
             sent = random_density(reg_dim, reg_dim, rng, dims=sys)
-            strategies.append(SenderStrategy("untruthful", state=sent, claimed=_claim(pick())))
+            strategies.append(SenderStrategy("untruthful", state=sent, claimed=_claim(group[0])))
         else:
-            claims = [_claim(pick()) for _ in range(draw(st.integers(1, 2)))]
-            strategies.append(SenderStrategy("correlated", claimed=claims, spans=spans))
-    noise = _noise_spec(noise_kind, sys, rng) if noise_kind != "none" else None
-    scenario = NetworkScenario(theory, channel_kind, strategies, noise=noise)
-    # correlated joints are sized by the message dimension of the whole channel
-    descs = [d for group in _strategy_descriptions(scenario) for d in group]
-    mdim = build_conditional_channel(theory, channel_kind, descs).message_dim
-    for strategy in strategies:
-        if strategy.kind == "correlated":
-            dims = ((mdim,) + sys) * strategy.spans
+            dims = ((mdim,) + sys) * spans
             width = int(np.prod(dims))
-            strategy.state = random_density(width, width, rng, dims=dims)
-    return scenario
+            joint = random_density(width, width, rng, dims=dims)
+            claims = [_claim(source) for source in group]
+            strategies.append(SenderStrategy("correlated", state=joint, claimed=claims, spans=spans))
+    noise = _noise_spec(noise_kind, sys, rng) if noise_kind != "none" else None
+    return NetworkScenario(theory, channel_kind, strategies, noise=noise)
 
 
 @pytest.mark.parametrize("theory,channel_kind,noise_kind,plan", _cases())

@@ -113,7 +113,7 @@ def test_scenario_roundtrip_and_run():
     }
     scenario = scenario_from_json(scenario_obj)
     assert scenario.seed == 11
-    assert scenario.rng_algorithm == "pcg64" and scenario.noise is None
+    assert scenario.noise is None
     (sender,) = scenario.strategies
     assert sender.kind == "untruthful" and sender.spans == 1
     assert np.abs(sender.state.mat - bell_phi_plus(2).mat).max() < 1e-15
@@ -133,7 +133,7 @@ def test_scenario_roundtrip_and_run():
             "noise": {"kind": "amplitude_damping", "params": {"gamma": 0.25}},
         }
     )
-    assert noisy.rng_algorithm == "PCG64"
+    # "rng" names the one generator in any case and selects nothing
     assert noisy.noise.kind == "amplitude_damping" and noisy.noise.params == {"gamma": 0.25}
 
 
@@ -312,21 +312,13 @@ def test_honest_locality_scenario_from_json():
 
 
 def test_unknown_rng_rejected():
-    with pytest.raises(ValueError):
-        run_protocol(
-            scenario_from_json(
-                {
-                    "theory": "coherence",
-                    "channel_kind": "replacement",
-                    "senders": [
-                        {
-                            "kind": "honest",
-                            "state": state_json(
-                                from_pure(np.array([1.0, 0.0]))
-                            ),
-                        }
-                    ],
-                    "rng": "xorshift",
-                }
-            )
+    # the file is refused when it is loaded, before anything runs
+    with pytest.raises(ScenarioError, match="unsupported rng 'xorshift'"):
+        scenario_from_json(
+            {
+                "theory": "coherence",
+                "channel_kind": "replacement",
+                "senders": [{"kind": "honest", "state": state_json(from_pure(np.array([1.0, 0.0])))}],
+                "rng": "xorshift",
+            }
         )

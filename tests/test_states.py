@@ -169,11 +169,6 @@ def test_tensor_concatenates_signatures():
     assert abs(float(joint.mat.trace().real) - 1.0) < 1e-12
 
 
-def test_make_rng_rejects_unknown_algorithm():
-    with pytest.raises(ValueError):
-        make_rng(0, algorithm="mt19937")
-
-
 @pytest.mark.parametrize(
     "entry",
     [
