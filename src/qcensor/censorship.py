@@ -16,7 +16,7 @@ is read on its message diagonal and censored one pair per matmul.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -25,7 +25,7 @@ from . import linalg, qrt
 from .channels import ChannelSpec, KrausChannel, dephasing_channel, replacement_channel
 from .linalg import DimSignature
 from .qrt import Description
-from .states import DensityOperator, make_rng, maximally_mixed
+from .states import DensityOperator, density_stack, make_rng, maximally_mixed
 
 # Widest receiver table a report renders; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
@@ -76,6 +76,13 @@ def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
     return dephasing_channel(qrt.canonical_eigenbasis(state.mat), dims=state.dims)
 
 
+@cache
+def _default_branch(sig: DimSignature) -> KrausChannel:
+    """The reserved outcome's branch, replacing the system by I/d; one
+    read-only channel per register signature."""
+    return replacement_channel(maximally_mixed(sig), in_dims=sig)
+
+
 def build_conditional_channel(
     theory: str, kind: str, descriptions: Iterable[Description]
 ) -> ConditionalRDChannel:
@@ -122,13 +129,12 @@ def build_conditional_channel(
         branches = [replacement_channel(d.state, in_dims=sig) for d in registered.values()]
     else:
         branches = [_eigen_dephasing_branch(d.state) for d in registered.values()]
-    default = replacement_channel(maximally_mixed(sig), in_dims=sig)
     return ConditionalRDChannel(
         theory=theory,
         kind=kind,
         descriptions=tuple(registered.values()),
         system_dims=sig,
-        branches=(*branches, default),
+        branches=(*branches, _default_branch(sig)),
     )
 
 
@@ -427,12 +433,11 @@ def noise_comparison(
     free_check = entry.free(sigma)
     if not free_check.is_free:
         raise ValueError(f"sigma is not free for {theory} (witness {free_check.witness_value:.3e})")
-    rng = make_rng(seed)
-    for _ in range(samples):
-        probe = entry.sample_free(sigma.dim, rng)
-        out = DensityOperator(noise.apply_matrix(probe.mat), probe.dims)
-        if not entry.free(out).is_free:
-            raise ValueError("noise channel generates the resource on free states")
+    probes = entry.sample_free(sigma.dim, make_rng(seed), samples)
+    outs = density_stack(noise.apply_matrix(probes))
+    # the sampled theories are affine: free exactly when the witness is within TOL_DIAG
+    if (entry.excess(outs, sigma.dims) > qrt.TOL_DIAG).any():
+        raise ValueError("noise channel generates the resource on free states")
     if branch is None:
         branch = _eigen_dephasing_branch(sigma)
     noisy = noise.apply_matrix(sigma.mat)

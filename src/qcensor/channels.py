@@ -25,15 +25,19 @@ _RANK_ONE_TOL = 1e-9
 
 
 def _act(transfer: np.ndarray, in_dim: int, out_dim: int, mat: np.ndarray) -> np.ndarray:
-    arr = linalg.as_complex_matrix(mat)
-    if arr.shape != (in_dim, in_dim):
+    """T vec(X) for an operator X, or for each operator of a stack (..., d, d)
+    in one matmul; each is the matrix-vector product of X alone."""
+    arr = linalg.as_complex_matrix(mat, stacked=True)
+    if arr.shape[-2:] != (in_dim, in_dim):
         raise ValueError(f"operator shape {arr.shape} does not match input dim {in_dim}")
-    return (transfer @ arr.reshape(-1)).reshape(out_dim, out_dim)
+    lead = arr.shape[:-2]
+    return (transfer @ arr.reshape(*lead, in_dim * in_dim, 1)).reshape(*lead, out_dim, out_dim)
 
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map in operator-sum form; its read-only ``transfer`` is what acts."""
+    """CPTP map in operator-sum form; its read-only ``transfer`` is what acts,
+    and its ``kraus`` operators are read-only too."""
 
     kraus: tuple[np.ndarray, ...]
     in_dims: DimSignature
@@ -67,7 +71,10 @@ class KrausChannel:
             transfer += k[:, None, :, None] * k.conj()[None, :, None, :]
         transfer = transfer.reshape(d_out * d_out, d_in * d_in)
         transfer.setflags(write=False)
-        object.__setattr__(self, "kraus", ops)
+        # a channel can be shared, so it keeps read-only copies of its operators
+        ops = np.array(ops)
+        ops.setflags(write=False)
+        object.__setattr__(self, "kraus", tuple(ops))
         object.__setattr__(self, "in_dims", linalg.check_signature(self.in_dims, d_in))
         object.__setattr__(self, "out_dims", linalg.check_signature(self.out_dims, d_out))
         object.__setattr__(self, "transfer", transfer)

@@ -17,7 +17,7 @@ from pathlib import Path
 from .censorship import ScenarioError, run_protocol
 from .demos import DEMOS
 from .serialize import report_json_str, report_pretty, scenario_from_json
-from .suites import SUITES, run_suite
+from .suites import FIXED_SUITES, SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -131,9 +131,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         sys.stdout.write(json.dumps(dataclasses.asdict(result), sort_keys=True, indent=2) + "\n")
     else:
         status = "PASS" if result.passed else "FAIL"
-        sys.stdout.write(
-            f"suite {result.suite}: {status} (samples={result.samples}, seed={result.seed})\n"
-        )
+        if result.suite in FIXED_SUITES:
+            inputs = "replays the fixed demo; --samples and --seed are not used"
+        else:
+            inputs = f"samples={result.samples}, seed={result.seed}"
+        sys.stdout.write(f"suite {result.suite}: {status} ({inputs})\n")
         for key in sorted(result.max_defects):
             sys.stdout.write(f"  {key}: max observed {result.max_defects[key]:.3e}\n")
         for failure in result.failures:

@@ -15,6 +15,8 @@ from .censorship import (
     NetworkScenario,
     SenderStrategy,
     _eigen_dephasing_branch,
+    _pair_dims,
+    build_conditional_channel,
     encode_description,
     noise_comparison,
     run_protocol,
@@ -110,21 +112,18 @@ def discord_breach_demo(
         one = from_pure(np.array([0.0, 1.0]))
         plus = from_pure(np.array([1.0, 1.0]) / np.sqrt(2))
         components = (tensor(zero, zero), tensor(plus, one))
-    component_0, component_1 = components
-    desc_0 = encode_description("discord", component_0)
-    desc_1 = encode_description("discord", component_1)
-
-    message_dim = 3  # two registered labels plus the reserved unknown index
-    joint = np.zeros((message_dim * 4, message_dim * 4), dtype=complex)
-    for idx, (w, comp) in enumerate(((weight, component_0), (1 - weight, component_1))):
-        proj = np.zeros((message_dim, message_dim), dtype=complex)
-        proj[idx, idx] = 1.0
+    descs = [encode_description("discord", c) for c in components]
+    # each component sits on the message outcome of its label; equal labels share one
+    channel = build_conditional_channel("discord", "replacement", descs)
+    dims = _pair_dims(channel, 1)
+    joint = np.zeros((int(np.prod(dims)),) * 2, dtype=complex)
+    for w, comp, desc in zip((weight, 1 - weight), components, descs):
+        i = channel.labels.index(desc.label)
+        proj = np.zeros((channel.message_dim,) * 2, dtype=complex)
+        proj[i, i] = 1.0
         joint += w * np.kron(proj, comp.mat)
     strategy = SenderStrategy(
-        "correlated",
-        state=DensityOperator(joint, (message_dim, 2, 2)),
-        claimed=[desc_0, desc_1],
-        spans=1,
+        "correlated", state=DensityOperator(joint, dims), claimed=descs, spans=1
     )
     scenario = NetworkScenario(
         theory="discord",
@@ -135,8 +134,8 @@ def discord_breach_demo(
     report = run_protocol(scenario)
     report.extras.update(
         {
-            "component_discord_0": qrt.discord(component_0),
-            "component_discord_1": qrt.discord(component_1),
+            "component_discord_0": qrt.discord(components[0]),
+            "component_discord_1": qrt.discord(components[1]),
             "mixture_discord_nats": report.verdicts["discord"].witness_value,
             "mixture_discord_bits": linalg.entropy_bits(
                 report.verdicts["discord"].witness_value

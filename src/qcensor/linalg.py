@@ -22,10 +22,11 @@ _TIE_TOL = 1e-10
 DimSignature = tuple[int, ...]
 
 
-def as_complex_matrix(mat: np.ndarray) -> np.ndarray:
-    """Coerce to a 2-d complex array, rejecting NaN/Inf entries."""
+def as_complex_matrix(mat: np.ndarray, stacked: bool = False) -> np.ndarray:
+    """Coerce to a 2-d complex array, or with ``stacked`` to a stack of
+    matrices of shape (..., a, b), rejecting NaN/Inf entries."""
     arr = np.asarray(mat, dtype=complex)
-    if arr.ndim != 2:
+    if arr.ndim != 2 and not (stacked and arr.ndim > 2):
         raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix contains non-finite entries")
@@ -44,9 +45,9 @@ def check_signature(dims: Sequence[int], matrix_dim: int) -> DimSignature:
     return sig
 
 
-def _square(mat: np.ndarray) -> np.ndarray:
-    arr = as_complex_matrix(mat)
-    if arr.shape[0] != arr.shape[1]:
+def _square(mat: np.ndarray, stacked: bool = False) -> np.ndarray:
+    arr = as_complex_matrix(mat, stacked)
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
@@ -106,15 +107,17 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Iterable[int]) -> 
 def partial_transpose(
     rho: np.ndarray, dims: Sequence[int], subsystem: int | Iterable[int]
 ) -> np.ndarray:
-    """Transpose the chosen tensor factor(s); applying twice restores the input."""
-    arr = _square(rho)
-    sig = check_signature(dims, arr.shape[0])
-    n = len(sig)
+    """Transpose the chosen tensor factor(s) of a matrix, or of each matrix of
+    a stack (..., d, d); applying twice restores the input."""
+    arr = _square(rho, stacked=True)
+    sig = check_signature(dims, arr.shape[-1])
+    n, lead = len(sig), arr.ndim - 2
     subs = _check_indices([subsystem] if isinstance(subsystem, (int, np.integer)) else subsystem, n)
-    axes = list(range(2 * n))
+    axes = list(range(lead, lead + 2 * n))
     for k in set(subs):
         axes[k], axes[k + n] = axes[k + n], axes[k]
-    return arr.reshape(sig + sig).transpose(axes).reshape(arr.shape)
+    tensor = arr.reshape(arr.shape[:-2] + sig + sig)
+    return tensor.transpose(*range(lead), *axes).reshape(arr.shape)
 
 
 def _canonicalize_column(vecs: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DimSignature
-from .states import DensityOperator, bell_phi_plus, random_real_density
+from .states import DensityOperator, bell_phi_plus, density_stack, random_real_densities
 
 TOL_DIAG = 1e-8
 TOL_PPT = 1e-9
@@ -61,16 +61,30 @@ def _worst(verdicts: Sequence[ResourceVerdict], witness=max) -> ResourceVerdict:
     return ResourceVerdict(is_free, witness(v.witness_value for v in verdicts), decisive)
 
 
+# The witnesses below read a matrix or a stack of them (..., d, d) and give
+# one value per matrix; the theories' excess reads them on stacks.
+
+
+def _off_diagonal(mats: np.ndarray) -> np.ndarray:
+    """Largest off-diagonal magnitude of each matrix."""
+    diagonal = np.eye(mats.shape[-1], dtype=bool)
+    return np.abs(np.where(diagonal, 0.0, mats)).max(axis=(-2, -1))
+
+
+def _max_imaginary(mats: np.ndarray) -> np.ndarray:
+    """Largest imaginary-part magnitude of each matrix."""
+    return np.abs(mats.imag).max(axis=(-2, -1))
+
+
 def is_free_coherence(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
     """Free iff diagonal in the fixed incoherent (computational) basis."""
-    off = rho.mat - np.diag(np.diag(rho.mat))
-    witness = float(np.abs(off).max())
+    witness = float(_off_diagonal(rho.mat))
     return ResourceVerdict(witness <= tol, witness)
 
 
 def is_free_imaginarity(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
     """Free iff all entries are real in the fixed reference basis."""
-    witness = float(np.abs(rho.mat.imag).max())
+    witness = float(_max_imaginary(rho.mat))
     return ResourceVerdict(witness <= tol, witness)
 
 
@@ -96,25 +110,45 @@ def is_free_entanglement(
     return ResourceVerdict(ppt, witness, decisive)
 
 
+def _cuts(n: int) -> list[tuple[int, ...]]:
+    """One side of every nontrivial bipartition of n factors, in the order
+    ``ppt_all_cuts`` runs them. A cut and its complement give transposes with
+    one spectrum, so only one of them is listed."""
+    if n < 2:
+        raise ValueError("need at least two factors")
+    return [
+        side
+        for r in range(1, n // 2 + 1)
+        for side in combinations(range(n), r)
+        if r < n / 2 or side[0] == 0
+    ]
+
+
 def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
     """PPT across every nontrivial bipartition of a state's factors.
 
     The first cut that fails decides; otherwise the state is free, decisive
-    when every cut is, with the smallest witness of its cuts. A cut and its
-    complement give transposes with one spectrum, so only one of them is run.
+    when every cut is, with the smallest witness of its cuts.
     """
-    n = len(rho.dims)
-    if n < 2:
-        raise ValueError("need at least two factors")
     verdicts = []
-    for r in range(1, n // 2 + 1):
-        for side in combinations(range(n), r):
-            if r == n / 2 and side[0] != 0:
-                continue
-            verdicts.append(is_free_entanglement(rho, side, tol))
-            if not verdicts[-1].is_free:
-                return verdicts[-1]
+    for side in _cuts(len(rho.dims)):
+        verdicts.append(is_free_entanglement(rho, side, tol))
+        if not verdicts[-1].is_free:
+            return verdicts[-1]
     return _worst(verdicts, min)
+
+
+def _ppt_excess(mats: np.ndarray, dims: DimSignature) -> np.ndarray:
+    """-min(0, w) for the ``ppt_all_cuts`` witness w of each matrix of a
+    stack: the first failing cut's witness, else the smallest of all cuts."""
+    witnesses = []
+    for side in _cuts(len(dims)):
+        pt = linalg.partial_transpose(mats, dims, side)
+        witnesses.append(np.linalg.eigvalsh((pt + pt.conj().swapaxes(-1, -2)) / 2)[..., 0])
+    w = np.stack(witnesses)
+    fails = w < -TOL_PPT
+    first = np.take_along_axis(w, fails.argmax(axis=0)[None], axis=0)[0]
+    return -np.minimum(0.0, np.where(fails.any(axis=0), first, w.min(axis=0)))
 
 
 @dataclass(frozen=True)
@@ -136,9 +170,11 @@ class DiscordOptions:
                 raise ValueError(f"DiscordOptions.{name} must be an integer >= {low}: {value!r}")
 
 
-def _pauli_coordinates(rho: DensityOperator) -> np.ndarray:
-    """R[i, j] = Tr(rho sigma_i (x) sigma_j) of a two-qubit state, real 4x4."""
-    return np.einsum("ikjl,aji,blk->ab", rho.mat.reshape(2, 2, 2, 2), PAULIS, PAULIS).real
+def _pauli_coordinates(mats: np.ndarray) -> np.ndarray:
+    """R[i, j] = Tr(rho sigma_i (x) sigma_j) of a two-qubit state, real 4x4,
+    or of each state of a stack."""
+    tensor = mats.reshape(mats.shape[:-2] + (2, 2, 2, 2))
+    return np.einsum("...ikjl,aji,blk->...ab", tensor, PAULIS, PAULIS).real
 
 
 def _shannon(p: np.ndarray) -> np.ndarray:
@@ -207,7 +243,7 @@ def discord(
     if measured_side not in ("X", "Y"):
         raise ValueError(f"measured_side must be 'X' or 'Y', got {measured_side!r}")
     opt = opt or DiscordOptions()
-    coords = _pauli_coordinates(rho)
+    coords = _pauli_coordinates(rho.mat)
     if measured_side == "Y":
         coords = coords.T
 
@@ -262,18 +298,27 @@ def is_classical_quantum(
         raise ValueError("classical_side must be 0 or 1")
     if max(rho.dims) > 4:
         raise ValueError(f"unsupported dims {rho.dims}: at most 4 per side")
-    d0, d1 = rho.dims
-    tensor = rho.mat.reshape(d0, d1, d0, d1)
-    if classical_side == 0:
-        blocks = [tensor[:, i, :, j] for i in range(d1) for j in range(d1)]
-    else:
-        blocks = [tensor[i, :, j, :] for i in range(d0) for j in range(d0)]
-    witness = 0.0
-    for a in range(len(blocks)):
-        for b in range(a, len(blocks)):
-            comm = blocks[a] @ blocks[b] - blocks[b] @ blocks[a]
-            witness = max(witness, float(np.abs(comm).max()))
+    witness = float(_commutator_witness(rho.mat, rho.dims, classical_side))
     return ResourceVerdict(witness <= tol, witness)
+
+
+def _commutator_witness(
+    mats: np.ndarray, dims: DimSignature, classical_side: int = 0
+) -> np.ndarray:
+    """Largest commutator entry among the conditional operators on the
+    classical side of each bipartite matrix."""
+    d0, d1 = dims
+    tensor = mats.reshape(mats.shape[:-2] + (d0, d1, d0, d1))
+    lead = tuple(range(mats.ndim - 2))
+    # the conditional operators indexed by a basis pair (i, j) of the other side
+    if classical_side == 0:
+        blocks = tensor.transpose(*lead, *(len(lead) + a for a in (1, 3, 0, 2)))
+        blocks = blocks.reshape(mats.shape[:-2] + (d1 * d1, d0, d0))
+    else:
+        blocks = tensor.transpose(*lead, *(len(lead) + a for a in (0, 2, 1, 3)))
+        blocks = blocks.reshape(mats.shape[:-2] + (d0 * d0, d1, d1))
+    products = blocks[..., :, None, :, :] @ blocks[..., None, :, :, :]
+    return np.abs(products - products.swapaxes(-3, -4)).max(axis=(-4, -3, -2, -1))
 
 
 def chsh_parameter(rho: DensityOperator) -> float:
@@ -284,9 +329,14 @@ def chsh_parameter(rho: DensityOperator) -> float:
     """
     if rho.dims != (2, 2):
         raise ValueError(f"CHSH parameter needs a two-qubit state, got dims {rho.dims}")
-    t = _pauli_coordinates(rho)[1:, 1:]
-    w = np.linalg.eigvalsh(t.T @ t)
-    return float(w[-1] + w[-2])
+    return float(_chsh(rho.mat))
+
+
+def _chsh(mats: np.ndarray) -> np.ndarray:
+    """The Horodecki M of each two-qubit matrix."""
+    t = _pauli_coordinates(mats)[..., 1:, 1:]
+    w = np.linalg.eigvalsh(t.swapaxes(-1, -2) @ t)
+    return w[..., -1] + w[..., -2]
 
 
 def is_free_locality(rho: DensityOperator) -> ResourceVerdict:
@@ -577,10 +627,12 @@ def _judge_locality(blocks: Sequence[Block]) -> Verdicts:
     return verdicts, tuple(notes)
 
 
-def _sample_diagonal(dim: int, rng: np.random.Generator) -> DensityOperator:
-    probs = rng.random(dim)
-    probs /= probs.sum()
-    return DensityOperator(np.diag(probs).astype(complex), (dim,))
+def _sample_diagonal(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    probs = rng.random((count, dim))
+    probs /= probs.sum(axis=1, keepdims=True)
+    mats = np.zeros((count, dim, dim), dtype=complex)
+    mats[:, range(dim), range(dim)] = probs
+    return density_stack(mats)
 
 
 # ---------------------------------------------------------------- registry
@@ -591,24 +643,27 @@ class ResourceTheory:
     """Everything the censorship engine knows about one resource theory.
 
     free         free-state test on a state
-    excess       how far a state lies outside the free set; 0 on free states
+    excess       (stack (..., d, d), register dims) -> how far each matrix lies
+                 outside the free set, the excess of its ``free`` witness; 0 on
+                 free states
     encode       (state, ensemble) -> Description of a free state; raises
                  ValueError on resource states
     judge        blocks -> (verdicts, notes) of the receiver, the Kronecker
                  product of the censored blocks, each given with the number
                  of registers it spans; each block, or each register
                  marginal, is judged on its own
-    sample_free  (dim, rng) -> random free state; present exactly for the
-                 theories that eigenbasis dephasing censors
+    sample_free  (dim, rng, count) -> validated stack (count, dim, dim) of random
+                 free states; present exactly for the theories that
+                 eigenbasis dephasing censors
     """
 
     name: str
     structure: str  # affine | convex | nonconvex | activatable
     free: Callable[[DensityOperator], ResourceVerdict]
-    excess: Callable[[DensityOperator], float]
+    excess: Callable[[np.ndarray, DimSignature], np.ndarray]
     encode: Callable[[DensityOperator | None, Sequence | None], Description]
     judge: Callable[[Sequence[Block]], Verdicts]
-    sample_free: Callable[[int, np.random.Generator], DensityOperator] | None = None
+    sample_free: Callable[[int, np.random.Generator, int], np.ndarray] | None = None
 
 
 # The lambdas look functions up by their module names at call time, so a
@@ -619,7 +674,7 @@ THEORIES = {
         "coherence",
         "affine",
         free=is_free_coherence,
-        excess=lambda rho: is_free_coherence(rho).witness_value,
+        excess=lambda mats, dims: _off_diagonal(mats),
         encode=_encode_coherence,
         judge=_judge_affine("coherence"),
         sample_free=_sample_diagonal,
@@ -628,16 +683,16 @@ THEORIES = {
         "imaginarity",
         "affine",
         free=is_free_imaginarity,
-        excess=lambda rho: is_free_imaginarity(rho).witness_value,
+        excess=lambda mats, dims: _max_imaginary(mats),
         encode=_encode_imaginarity,
         judge=_judge_affine("imaginarity"),
-        sample_free=lambda dim, rng: random_real_density(dim, dim, rng),
+        sample_free=lambda dim, rng, count: random_real_densities(dim, dim, rng, count),
     ),
     "entanglement": ResourceTheory(
         "entanglement",
         "convex",
         free=lambda rho: ppt_all_cuts(rho),
-        excess=lambda rho: -min(0.0, ppt_all_cuts(rho).witness_value),
+        excess=_ppt_excess,
         encode=_encode_entanglement,
         judge=lambda blocks: ({"entanglement": _ppt_blocks(blocks)}, ()),
     ),
@@ -645,7 +700,7 @@ THEORIES = {
         "discord",
         "nonconvex",
         free=lambda rho: is_classical_quantum(rho),
-        excess=lambda rho: is_classical_quantum(rho).witness_value,
+        excess=_commutator_witness,
         encode=_encode_discord,
         judge=_judge_discord,
     ),
@@ -653,7 +708,7 @@ THEORIES = {
         "locality",
         "activatable",
         free=is_free_locality,
-        excess=lambda rho: max(0.0, chsh_parameter(rho) - 1.0),
+        excess=lambda mats, dims: np.maximum(0.0, _chsh(mats) - 1.0),
         encode=_encode_locality,
         judge=_judge_locality,
     ),

@@ -25,20 +25,22 @@ def _coerce_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return make_rng(rng)
 
 
-def standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    """n standard normals via Box-Muller on generator uniforms."""
+def standard_normals(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
+    """count rows of n standard normals via Box-Muller on generator uniforms,
+    shape (count, n); row k is what the k-th of count successive one-row
+    draws gives."""
     m = (n + 1) // 2
-    u1 = rng.random(m)
-    u2 = rng.random(m)
-    radius = np.sqrt(-2.0 * np.log1p(-u1))  # 1-u1 in (0,1], no log(0)
-    z = np.concatenate([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)])
-    return z[:n]
+    u = rng.random((count, 2, m))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1-u in (0,1], no log(0)
+    angle = 2 * np.pi * u[:, 1]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :n]
 
 
-def complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
-    re = standard_normals(rng, n)
-    im = standard_normals(rng, n)
-    return re + 1j * im
+def complex_normals(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
+    """count rows of n complex normals, each row's real parts drawn before
+    its imaginary parts; shape (count, n)."""
+    z = standard_normals(rng, n, 2 * count).reshape(count, 2, n)
+    return z[:, 0] + 1j * z[:, 1]
 
 
 @dataclass(frozen=True)
@@ -59,24 +61,45 @@ class StateReport:
 
 
 def validate(mat: np.ndarray) -> StateReport:
-    """Report Hermiticity defect, minimum eigenvalue and trace deviation."""
-    arr = linalg.as_complex_matrix(mat)
-    if arr.shape[0] != arr.shape[1]:
+    """Report Hermiticity defect, minimum eigenvalue and trace deviation of a
+    matrix; of a stack of matrices (..., d, d), the worst of each."""
+    arr = linalg.as_complex_matrix(mat, stacked=True)
+    if arr.shape[-2] != arr.shape[-1]:
         raise ValueError(f"expected a square matrix, got {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"expected a non-empty matrix, got shape {arr.shape}")
-    adj = arr.conj().T
+    adj = arr.conj().swapaxes(-1, -2)
     # Entries near the float limit overflow into an infinite defect or NaN
     # eigenvalues, which is_valid rejects; numpy need not warn on the way.
     with np.errstate(over="ignore", invalid="ignore"):
         defect = float(np.abs(arr - adj).max())
         w = np.linalg.eigvalsh((arr + adj) / 2)  # ascending
-        trace = complex(arr.trace())
+        shifts = (arr.trace(0, -2, -1) - 1.0).ravel().tolist()
     return StateReport(
         hermiticity_defect=defect,
-        min_eigenvalue=float(w[0]),
-        trace_deviation=abs(trace - 1.0),
+        min_eigenvalue=float(w.min()),  # each row of w ascends
+        trace_deviation=max(map(abs, shifts)),
     )
+
+
+def _require_valid(report: StateReport) -> None:
+    if not report.is_valid:
+        raise ValueError(
+            "invalid density operator: "
+            f"hermiticity defect {report.hermiticity_defect:.3e}, "
+            f"min eigenvalue {report.min_eigenvalue:.3e}, "
+            f"trace deviation {report.trace_deviation:.3e}"
+        )
+
+
+def density_stack(mats: np.ndarray) -> np.ndarray:
+    """A read-only copy of a stack of density matrices (..., d, d), checked
+    as ``DensityOperator`` checks one matrix and rejected as it rejects one."""
+    report = validate(mats)
+    arr = np.array(mats, dtype=complex, order="C")
+    _require_valid(report)
+    arr.setflags(write=False)
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,16 +110,12 @@ class DensityOperator:
     dims: DimSignature
 
     def __post_init__(self) -> None:
-        report = validate(self.mat)  # the one checked coercion
         arr = np.array(self.mat, dtype=complex, order="C")
+        if arr.ndim != 2:
+            raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
+        report = validate(arr)  # the one checked coercion
         sig = linalg.check_signature(self.dims, arr.shape[0])
-        if not report.is_valid:
-            raise ValueError(
-                "invalid density operator: "
-                f"hermiticity defect {report.hermiticity_defect:.3e}, "
-                f"min eigenvalue {report.min_eigenvalue:.3e}, "
-                f"trace deviation {report.trace_deviation:.3e}"
-            )
+        _require_valid(report)
         arr.setflags(write=False)
         object.__setattr__(self, "mat", arr)
         object.__setattr__(self, "dims", sig)
@@ -147,6 +166,34 @@ def isotropic(d: int, p: float) -> DensityOperator:
     return DensityOperator(mat, (d, d))
 
 
+def _ginibre(dim: int, rank: int, rng, count: int, real: bool) -> np.ndarray:
+    """count Ginibre states G G^dag / Tr(G G^dag), G of shape (dim, rank) and
+    real when ``real``, unvalidated; shape (count, dim, dim)."""
+    if not 1 <= rank <= dim:
+        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
+    normals = standard_normals if real else complex_normals
+    g = normals(_coerce_rng(rng), dim * rank, count).reshape(count, dim, rank)
+    # G G^T of a real G reads one buffer twice, which numpy computes as such
+    mats = (g @ (g if real else g.conj()).swapaxes(1, 2)).astype(complex, copy=False)
+    mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    return mats
+
+
+def random_densities(
+    dim: int, rank: int, rng: np.random.Generator | int | None, count: int
+) -> np.ndarray:
+    """Validated read-only stack (count, dim, dim) of Ginibre states; row k is
+    the state of the k-th of count successive ``random_density`` draws."""
+    return density_stack(_ginibre(dim, rank, rng, count, real=False))
+
+
+def random_real_densities(
+    dim: int, rank: int, rng: np.random.Generator | int | None, count: int
+) -> np.ndarray:
+    """The real-entry counterpart of ``random_densities``."""
+    return density_stack(_ginibre(dim, rank, rng, count, real=True))
+
+
 def random_density(
     dim: int,
     rank: int,
@@ -154,12 +201,7 @@ def random_density(
     dims: Sequence[int] | None = None,
 ) -> DensityOperator:
     """Ginibre state G G^dag / Tr(G G^dag) with G of shape (dim, rank)."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    gen = _coerce_rng(rng)
-    g = complex_normals(gen, dim * rank).reshape(dim, rank)
-    mat = g @ g.conj().T
-    mat /= mat.trace().real
+    mat = _ginibre(dim, rank, rng, 1, real=False)[0]
     return DensityOperator(mat, tuple(dims) if dims is not None else (dim,))
 
 
@@ -170,18 +212,12 @@ def random_real_density(
     dims: Sequence[int] | None = None,
 ) -> DensityOperator:
     """Real-entry Ginibre state; free for the realness resource theory."""
-    if not 1 <= rank <= dim:
-        raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    gen = _coerce_rng(rng)
-    g = standard_normals(gen, dim * rank).reshape(dim, rank)
-    mat = (g @ g.T).astype(complex)
-    mat /= mat.trace().real
+    mat = _ginibre(dim, rank, rng, 1, real=True)[0]
     return DensityOperator(mat, tuple(dims) if dims is not None else (dim,))
 
 
 def random_pure_vector(dim: int, rng: np.random.Generator | int | None) -> np.ndarray:
-    gen = _coerce_rng(rng)
-    vec = complex_normals(gen, dim)
+    vec = complex_normals(_coerce_rng(rng), dim)[0]
     return vec / np.linalg.norm(vec)
 
 

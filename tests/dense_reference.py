@@ -34,6 +34,12 @@ The reference eigendecomposition phase-fixes one column at a time and sorts
 the columns of each degenerate group lexicographically, where qcensor
 phase-fixes all columns at once and keeps the eigensolver's order inside a
 group.
+
+The sampling oracles draw one state per call, judge one state per call with
+each theory's witness written for one matrix, and run the channel_axioms
+suite one probe at a time with a validated DensityOperator per branch
+output, where qcensor draws, validates, applies and judges a whole stack of
+probes at once.
 """
 
 from __future__ import annotations
@@ -44,13 +50,22 @@ import numpy as np
 
 from qcensor import linalg, qrt
 from qcensor.censorship import (
+    Claim,
     ConditionalRDChannel,
     NetworkScenario,
     _strategy_descriptions,
     build_conditional_channel,
+    encode_description,
 )
-from qcensor.channels import KrausChannel
-from qcensor.states import DensityOperator, bell_phi_plus
+from qcensor.channels import (
+    KrausChannel,
+    amplitude_damping,
+    dephasing_channel,
+    depolarizing,
+    identity_channel,
+    replacement_channel,
+)
+from qcensor.states import DensityOperator, bell_phi_plus, isotropic, make_rng, maximally_mixed
 
 
 def kraus_apply(kraus, mat: np.ndarray) -> np.ndarray:
@@ -268,7 +283,7 @@ def stepwise_discord(
     built on every call, then one 4-point evaluation per refinement step,
     moving to the best improving neighbour or halving the step."""
     opt = opt or qrt.DiscordOptions()
-    coords = qrt._pauli_coordinates(rho)
+    coords = qrt._pauli_coordinates(rho.mat)
     if measured_side == "Y":
         coords = coords.T
 
@@ -484,3 +499,144 @@ def reference_hermitian_eig(mat) -> tuple[np.ndarray, np.ndarray]:
             v[:, start:stop] = v[:, cols]
         start = stop
     return w, v
+
+
+# ------------------------------------------------------------ sampling
+
+
+def reference_standard_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    m = (n + 1) // 2
+    u1 = rng.random(m)
+    u2 = rng.random(m)
+    radius = np.sqrt(-2.0 * np.log1p(-u1))
+    z = np.concatenate([radius * np.cos(2 * np.pi * u2), radius * np.sin(2 * np.pi * u2)])
+    return z[:n]
+
+
+def reference_complex_normals(rng: np.random.Generator, n: int) -> np.ndarray:
+    re = reference_standard_normals(rng, n)
+    im = reference_standard_normals(rng, n)
+    return re + 1j * im
+
+
+def reference_random_density(dim: int, rank: int, rng: np.random.Generator, real: bool = False):
+    """One Ginibre state G G^dag / Tr(G G^dag), G real when ``real``."""
+    if real:
+        g = reference_standard_normals(rng, dim * rank).reshape(dim, rank)
+        mat = (g @ g.T).astype(complex)
+    else:
+        g = reference_complex_normals(rng, dim * rank).reshape(dim, rank)
+        mat = g @ g.conj().T
+    mat /= mat.trace().real
+    return DensityOperator(mat, (dim,))
+
+
+def reference_excess(theory: str, rho: DensityOperator) -> float:
+    """How far one state lies outside a theory's free set, from the witness
+    of its free-state test."""
+    if theory == "coherence":
+        return float(np.abs(rho.mat - np.diag(np.diag(rho.mat))).max())
+    if theory == "imaginarity":
+        return float(np.abs(rho.mat.imag).max())
+    if theory == "entanglement":
+        return -min(0.0, dense_ppt_all_cuts(rho).witness_value)
+    if theory == "discord":
+        d0, d1 = rho.dims
+        tensor = rho.mat.reshape(d0, d1, d0, d1)
+        blocks = [tensor[:, i, :, j] for i in range(d1) for j in range(d1)]
+        witness = 0.0
+        for a in range(len(blocks)):
+            for b in range(a, len(blocks)):
+                comm = blocks[a] @ blocks[b] - blocks[b] @ blocks[a]
+                witness = max(witness, float(np.abs(comm).max()))
+        return witness
+    if theory == "locality":
+        coords = np.einsum("ikjl,aji,blk->ab", rho.mat.reshape(2, 2, 2, 2), qrt.PAULIS, qrt.PAULIS)
+        t = coords.real[1:, 1:]
+        w = np.linalg.eigvalsh(t.T @ t)
+        return max(0.0, float(w[-1] + w[-2]) - 1.0)
+    raise ValueError(f"no reference excess for {theory!r}")
+
+
+def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]:
+    """(passed, max_defects, failures) of the channel_axioms suite, one probe
+    at a time."""
+    rng = make_rng(seed)
+    passed, defects, failures = True, {}, []
+
+    def record(key: str, value: float, bound: float) -> None:
+        nonlocal passed
+        defects[key] = max(defects.get(key, 0.0), value)
+        if value > bound:
+            passed = False
+            msg = f"{key}: defect {value:.3e} exceeds bound {bound:.1e}"
+            if msg not in failures:
+                failures.append(msg)
+
+    ginibre = (reference_random_density(2, 2, rng).mat * 2).astype(complex)
+    basis, _ = np.linalg.qr(ginibre + np.eye(2))
+    plain = [
+        identity_channel(2),
+        dephasing_channel(basis),
+        replacement_channel(reference_random_density(2, 2, rng)),
+        depolarizing(2, 0.3),
+        amplitude_damping(0.5),
+    ]
+    for ch in plain:
+        for _ in range(max(samples // 10, 5)):
+            probe = reference_random_density(ch.in_dim, ch.in_dim, rng)
+            out = ch.apply_matrix(probe.mat)
+            record("trace_preservation", abs(float(out.trace().real) - 1.0), 1e-10)
+
+    deph = dephasing_channel(basis)
+    for _ in range(max(samples // 10, 5)):
+        probe = reference_random_density(2, 2, rng)
+        once = deph.apply_matrix(probe.mat)
+        twice = deph.apply_matrix(once)
+        record("dephasing_idempotence", float(np.abs(twice - once).max()), 1e-10)
+
+    repl = replacement_channel(reference_random_density(2, 2, rng))
+    for _ in range(max(samples // 10, 5)):
+        a = repl.apply_matrix(reference_random_density(2, 2, rng).mat)
+        b = repl.apply_matrix(reference_random_density(2, 2, rng).mat)
+        record("replacement_input_independence", float(np.abs(a - b).max()), 1e-10)
+
+    def separable_ensemble():
+        weights = -np.log1p(-rng.random(2))
+        weights /= weights.sum()
+        return [(float(w), tuple(pure_vector() for _ in range(2))) for w in weights]
+
+    def pure_vector():
+        vec = reference_complex_normals(rng, 2)
+        return vec / np.linalg.norm(vec)
+
+    claims = {
+        "coherence": [Claim(DensityOperator(np.diag([0.25, 0.75]).astype(complex), (2,)))],
+        "imaginarity": [Claim(reference_random_density(2, 2, rng, real=True)) for _ in range(2)],
+        "entanglement": [Claim(ensemble=separable_ensemble())],
+        "discord": [Claim(maximally_mixed((2, 2)))],
+        "locality": [Claim(isotropic(2, 5 / 12))],
+    }
+    for theory, theory_claims in claims.items():
+        kind = "replacement" if qrt.THEORIES[theory].sample_free is None else "eigen_dephasing"
+        descs = [encode_description(theory, c.state, c.ensemble) for c in theory_claims]
+        ch = build_conditional_channel(theory, kind, descs)
+        for branch in ch.branches:
+            probe = reference_random_density(branch.in_dim, branch.in_dim, rng)
+            out = branch.apply_matrix(probe.mat)
+            record("trace_preservation", abs(float(out.trace().real) - 1.0), 1e-10)
+        dims = ch.system_dims
+        dim = int(np.prod(dims))
+        free_defect = 0.0
+        for _ in range(samples):
+            probe = DensityOperator(reference_random_density(dim, dim, rng).mat, dims)
+            for branch in ch.branches:
+                out = DensityOperator(branch.apply_matrix(probe.mat), dims)
+                free_defect = max(free_defect, reference_excess(theory, out))
+        fixed_defect = 0.0
+        for desc, branch in zip(ch.descriptions, ch.branches):
+            out = branch.apply_matrix(desc.state.mat)
+            fixed_defect = max(fixed_defect, float(np.abs(out - desc.state.mat).max()))
+        record(f"condition_v_{theory}", free_defect, 1e-9 if theory == "locality" else 1e-8)
+        record(f"condition_vi_{theory}", fixed_defect, 1e-9)
+    return passed, defects, failures

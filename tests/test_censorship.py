@@ -14,7 +14,7 @@ from qcensor.censorship import (
     run_protocol,
 )
 from qcensor.channels import ChannelSpec, amplitude_damping, depolarizing, identity_channel
-from qcensor.demos import smuggle_eigenstate_demo
+from qcensor.demos import discord_breach_demo, smuggle_eigenstate_demo
 from qcensor.states import (
     DensityOperator,
     bell_phi_plus,
@@ -230,7 +230,8 @@ def test_registry_entry_contract(name):
     desc = encode_description(name, sigma=known_free.get("state"), ensemble=known_free.get("ensemble"))
     assert desc.theory == name
     assert entry.free(desc.state).is_free
-    assert entry.excess(desc.state) <= 1e-12
+    assert entry.excess(desc.state.mat[None], desc.state.dims).shape == (1,)
+    assert entry.excess(desc.state.mat[None], desc.state.dims)[0] <= 1e-12
 
     report = run_protocol(
         NetworkScenario(name, "replacement", [SenderStrategy("honest", **known_free)])
@@ -243,8 +244,9 @@ def test_registry_entry_contract(name):
             build_conditional_channel(name, "eigen_dephasing", [desc])
     else:
         assert build_conditional_channel(name, "eigen_dephasing", [desc]).kind == "eigen_dephasing"
-        probe = entry.sample_free(3, make_rng(0))
-        assert probe.dim == 3 and entry.free(probe).is_free
+        probes = entry.sample_free(3, make_rng(0), 2)
+        assert probes.shape == (2, 3, 3) and not probes.flags.writeable
+        assert all(entry.free(DensityOperator(p, (3,))).is_free for p in probes)
 
 
 def test_unknown_kind_rejected():
@@ -274,6 +276,20 @@ def test_default_branch_on_unknown_label():
     default = ch.branches[-1]
     assert np.abs(default.apply_matrix(from_pure(PLUS).mat) - np.eye(2) / 2).max() < 1e-12
     assert np.abs(default.apply_matrix(sigma.mat) - np.eye(2) / 2).max() < 1e-12
+
+
+def test_default_branch_is_built_once_per_signature():
+    real = encode_description("imaginarity", random_real_density(2, 2, make_rng(2)))
+    diagonal = encode_description("coherence", from_pure(Z0))
+    a = build_conditional_channel("imaginarity", "eigen_dephasing", [real])
+    b = build_conditional_channel("coherence", "replacement", [diagonal])
+    assert a.branches[-1] is b.branches[-1]
+    pair = encode_description("discord", tensor(from_pure(Z0), from_pure(PLUS)))
+    wide = build_conditional_channel("discord", "replacement", [pair])
+    assert wide.branches[-1] is not a.branches[-1] and wide.branches[-1].in_dims == (2, 2)
+    # shared, so nothing can write to it
+    with pytest.raises(ValueError, match="read-only"):
+        a.branches[-1].kraus[0][0, 0] = 1.0
 
 
 # --------------------------------------------------------- apply_censorship
@@ -454,6 +470,15 @@ def test_correlated_discord_mixture_breaches():
     assert report.verdicts["discord"].witness_value > 1e-3
     expected = 0.5 * s0.mat + 0.5 * s1.mat
     assert np.abs(report.render_receiver()[0] - expected).max() < 1e-10
+
+
+def test_discord_breach_demo_lays_out_components_sharing_a_label():
+    # both components have one label, so the message register has the one
+    # registered outcome plus the reserved one, not three outcomes
+    c = tensor(from_pure(Z0), from_pure(Z0))
+    report = discord_breach_demo((c, c), 0.5)
+    assert not report.breach
+    assert np.abs(report.render_receiver()[0] - c.mat).max() < 1e-12
 
 
 def test_correlated_wrong_dims_rejected():

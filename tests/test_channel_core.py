@@ -9,6 +9,7 @@ Choi matrix from the action on the matrix units.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -79,3 +80,13 @@ def test_linear_maps_match_their_action_on_matrix_units(d, free_weights, seed):
     for linear_map, fn in bases + [(mixed, mixed_fn)]:
         assert np.abs(linear_map.apply_matrix(x) - fn(x)).max() < TOL
         assert np.abs(choi(linear_map).mat - map_choi(fn, d, d)).max() < TOL
+
+
+def test_kraus_operators_are_read_only_copies():
+    ops = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
+    ch = KrausChannel(ops, (2,), (2,))
+    for k in ch.kraus:
+        with pytest.raises(ValueError, match="read-only"):
+            k[0, 0] = 0.5
+    ops[0][0, 0] = 0.5  # the caller's operators stay writable, and apart
+    assert ch.kraus[0][0, 0] == 1.0

@@ -265,6 +265,19 @@ def test_verify_json_format(capsys):
     assert payload["passed"] is True
 
 
+def test_verify_text_says_that_activation_ignores_samples_and_seed(capsys):
+    argv = ["verify", "--suite", "activation", "--samples", "500", "--seed", "9"]
+    assert main(argv) == EXIT_OK
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == "suite activation: PASS (replays the fixed demo; --samples and --seed are not used)"
+    # the JSON report still echoes both
+    assert main([*argv, "--format", "json"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["samples"], payload["seed"]) == (500, 9)
+    main(["verify", "--suite", "channel_axioms", "--samples", "20", "--seed", "9"])
+    assert capsys.readouterr().out.startswith("suite channel_axioms: PASS (samples=20, seed=9)\n")
+
+
 def test_usage_error_on_missing_subcommand():
     assert main([]) == EXIT_USAGE
 
