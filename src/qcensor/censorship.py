@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg, qrt
-from .channels import ChannelSpec, KrausChannel, dephasing_channel, replacement_channel
+from .channels import ChannelSpec, GeneralLinearMap, KrausChannel, dephasing_map, replacement_map
 from .linalg import DimSignature
 from .qrt import Description
 from .states import DensityOperator, density_stack, make_rng, maximally_mixed
@@ -54,14 +54,15 @@ class ConditionalRDChannel:
 
     The message basis is the registration order of the labels plus one
     reserved last outcome for anything unrecognized, whose branch replaces
-    the system by I/d.
+    the system by I/d. Each branch is a measure-and-prepare channel carried
+    as its trace-preserving transfer, built straight from its description.
     """
 
     theory: str
     kind: str
     descriptions: tuple[Description, ...]
     system_dims: DimSignature
-    branches: tuple[KrausChannel, ...]
+    branches: tuple[GeneralLinearMap, ...]
 
     @cached_property
     def labels(self) -> tuple[bytes, ...]:
@@ -72,15 +73,17 @@ class ConditionalRDChannel:
         return len(self.branches)
 
 
-def _eigen_dephasing_branch(state: DensityOperator) -> KrausChannel:
-    return dephasing_channel(qrt.canonical_eigenbasis(state.mat), dims=state.dims)
+def _eigen_dephasing_branch(desc: Description) -> GeneralLinearMap:
+    # an imaginarity description keeps the basis its label was computed from
+    basis = desc.basis if desc.basis is not None else qrt.canonical_eigenbasis(desc.state.mat)
+    return dephasing_map(basis)
 
 
 @cache
-def _default_branch(sig: DimSignature) -> KrausChannel:
+def _default_branch(sig: DimSignature) -> GeneralLinearMap:
     """The reserved outcome's branch, replacing the system by I/d; one
-    read-only channel per register signature."""
-    return replacement_channel(maximally_mixed(sig), in_dims=sig)
+    read-only map per register signature."""
+    return replacement_map(maximally_mixed(sig))
 
 
 def build_conditional_channel(
@@ -126,9 +129,9 @@ def build_conditional_channel(
                 "label, which a replacement branch cannot serve"
             )
     if kind == "replacement":
-        branches = [replacement_channel(d.state, in_dims=sig) for d in registered.values()]
+        branches = [replacement_map(d.state) for d in registered.values()]
     else:
-        branches = [_eigen_dephasing_branch(d.state) for d in registered.values()]
+        branches = [_eigen_dephasing_branch(d) for d in registered.values()]
     return ConditionalRDChannel(
         theory=theory,
         kind=kind,
@@ -417,7 +420,7 @@ class NoiseComparison:
 def noise_comparison(
     sigma: DensityOperator,
     noise: KrausChannel,
-    branch: KrausChannel | None = None,
+    branch: KrausChannel | GeneralLinearMap | None = None,
     theory: str = "imaginarity",
     samples: int = 25,
     seed: int = 0,
@@ -438,8 +441,8 @@ def noise_comparison(
     # the sampled theories are affine: free exactly when the witness is within TOL_DIAG
     if (entry.excess(outs, sigma.dims) > qrt.TOL_DIAG).any():
         raise ValueError("noise channel generates the resource on free states")
-    if branch is None:
-        branch = _eigen_dephasing_branch(sigma)
+    if branch is None:  # sigma has no description: dephase in its own eigenbasis
+        branch = dephasing_map(qrt.canonical_eigenbasis(sigma.mat))
     noisy = noise.apply_matrix(sigma.mat)
     censored = branch.apply_matrix(noisy)
     return NoiseComparison(

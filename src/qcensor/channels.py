@@ -2,11 +2,13 @@
 
 Every map acts through its transfer matrix T on row-major vectorized
 operators; a Kraus channel builds T = sum_k K (x) conj(K) once and keeps its
-Kraus operators only to certify that it is CPTP. Conventions fixed repo-wide:
-the Choi matrix is the unnormalized ``C = sum_ij L(|i><j|) (x) |i><j|`` with
-ordering output (x) input, the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)], so
-the identity qubit channel has Choi ``2 * phi_plus`` and the transpose map
-has Choi SWAP.
+Kraus operators only to certify that it is CPTP. The measure-and-prepare
+channels that censor (eigenbasis dephasing, replacement) also come as their
+transfer alone, checked to preserve the trace, bit for bit the transfer of
+their Kraus form. Conventions fixed repo-wide: the Choi matrix is the
+unnormalized ``C = sum_ij L(|i><j|) (x) |i><j|`` with ordering output (x)
+input, the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)], so the identity qubit
+channel has Choi ``2 * phi_plus`` and the transpose map has Choi SWAP.
 """
 
 from __future__ import annotations
@@ -90,8 +92,9 @@ class KrausChannel:
 class GeneralLinearMap:
     """Linear operator on matrix space, carried as its transfer matrix.
 
-    Covers maps with no Kraus form (non-CP maps); ``transfer`` has shape
-    (out_dim^2, in_dim^2) and acts on row-major vectorized operators.
+    Covers maps with no Kraus form (non-CP maps), and channels built from
+    their transfer alone (``dephasing_map``, ``replacement_map``); ``transfer``
+    has shape (out_dim^2, in_dim^2) and acts on row-major vectorized operators.
     """
 
     transfer: np.ndarray
@@ -146,39 +149,89 @@ def identity_channel(dims: Sequence[int] | int) -> KrausChannel:
     return KrausChannel((np.eye(d, dtype=complex),), sig, sig)
 
 
-def dephasing_channel(basis: np.ndarray, dims: Sequence[int] | None = None) -> KrausChannel:
-    """Projective dephasing onto the columns of a unitary basis matrix."""
+def _unitary(basis: np.ndarray) -> np.ndarray:
+    """A square basis matrix, checked to be unitary within TOL_ORTH."""
     b = linalg.as_complex_matrix(basis)
     if b.shape[0] != b.shape[1]:
         raise ValueError("basis must be square")
-    d = b.shape[0]
-    defect = float(np.abs(b.conj().T @ b - np.eye(d)).max())
+    defect = float(np.abs(b.conj().T @ b - np.eye(b.shape[0])).max())
     if defect > linalg.TOL_ORTH:
         raise ValueError(f"basis is not unitary (defect {defect:.3e})")
-    sig = tuple(dims) if dims is not None else (d,)
-    ops = tuple(np.outer(b[:, a], b[:, a].conj()) for a in range(d))
-    return KrausChannel(ops, sig, sig)
+    return b
+
+
+def _spectral_columns(sigma: DensityOperator) -> np.ndarray:
+    """Columns sqrt(w_a) v_a over the eigenvalues w_a of sigma above 1e-12,
+    the spectrum clipped at 0 and renormalized; their outer products sum to sigma."""
+    w, v = linalg.hermitian_eig(sigma.mat)
+    w = np.clip(w, 0.0, None)
+    keep = w > 1e-12
+    w = w[keep] / w[keep].sum()
+    return v[:, keep] * np.sqrt(w)
+
+
+def _outer_products(cols: np.ndarray) -> np.ndarray:
+    """The stack of |c><c| over the columns c of a matrix, in column order."""
+    return cols.T[:, :, None] * cols.T.conj()[:, None, :]
+
+
+def dephasing_channel(basis: np.ndarray, dims: Sequence[int] | None = None) -> KrausChannel:
+    """Projective dephasing onto the columns of a unitary basis matrix."""
+    b = _unitary(basis)
+    sig = tuple(dims) if dims is not None else (b.shape[0],)
+    return KrausChannel(tuple(_outer_products(b)), sig, sig)
 
 
 def replacement_channel(
     sigma: DensityOperator, in_dims: Sequence[int] | None = None
 ) -> KrausChannel:
     """Channel sending every input to ``sigma``; rank-one Kraus by construction."""
-    w, v = linalg.hermitian_eig(sigma.mat)
-    w = np.clip(w, 0.0, None)
-    keep = w > 1e-12
-    w = w[keep] / w[keep].sum()
-    v = v[:, keep]
+    cols = _spectral_columns(sigma)
     in_sig = tuple(in_dims) if in_dims is not None else sigma.dims
     d_in = int(np.prod(in_sig))
     ops = []
-    for a in range(w.size):
-        col = np.sqrt(w[a]) * v[:, a]
+    for col in cols.T:
         for i in range(d_in):
             k = np.zeros((sigma.dim, d_in), dtype=complex)
             k[:, i] = col
             ops.append(k)
     return KrausChannel(tuple(ops), in_sig, sigma.dims)
+
+
+def _trace_preserving_map(transfer: np.ndarray, d_in: int, d_out: int) -> GeneralLinearMap:
+    """The map of a transfer matrix, rejected unless sum_s T[(s,s),(i,j)] is
+    delta_ij within TOL_TP: the transfer's form of sum_k K^dag K = I."""
+    traced = transfer[:: d_out + 1].sum(axis=0).reshape(d_in, d_in)
+    defect = float(np.abs(traced - np.eye(d_in)).max())
+    if defect > TOL_TP:
+        raise ValueError(f"map is not trace preserving (transfer defect {defect:.3e})")
+    return GeneralLinearMap(transfer, d_in, d_out)
+
+
+# The two maps below sum their terms along a leading axis, which numpy does
+# term by term, in the order of the Kraus loop; adding 0.0 turns a -0.0 sum
+# into the 0.0 that the loop, starting from zeros, gives. So every bit of the
+# transfer agrees with the Kraus channel's.
+
+
+def dephasing_map(basis: np.ndarray) -> GeneralLinearMap:
+    """``dephasing_channel(basis)`` as its transfer alone: sum_a P_a (x) conj(P_a)
+    for the projector P_a on column a."""
+    b = _unitary(basis)
+    d = b.shape[0]
+    proj = _outer_products(b)
+    terms = proj[:, :, None, :, None] * proj.conj()[:, None, :, None, :]
+    return _trace_preserving_map(terms.sum(axis=0).reshape(d * d, d * d) + 0.0, d, d)
+
+
+def replacement_map(sigma: DensityOperator) -> GeneralLinearMap:
+    """``replacement_channel(sigma)`` as its transfer alone: |vec s><vec I| for
+    the spectral reconstruction s of sigma from ``_spectral_columns``."""
+    d = sigma.dim
+    target = _outer_products(_spectral_columns(sigma)).sum(axis=0) + 0.0
+    transfer = np.zeros((d * d, d, d), dtype=complex)
+    transfer[:, range(d), range(d)] = target.reshape(-1, 1)
+    return _trace_preserving_map(transfer.reshape(d * d, d * d), d, d)
 
 
 def depolarizing(dims: Sequence[int] | int, strength: float) -> KrausChannel:

@@ -14,14 +14,13 @@ from .censorship import (
     Claim,
     NetworkScenario,
     SenderStrategy,
-    _eigen_dephasing_branch,
     _pair_dims,
     build_conditional_channel,
     encode_description,
     noise_comparison,
     run_protocol,
 )
-from .channels import ChannelSpec, amplitude_damping, apply
+from .channels import ChannelSpec, amplitude_damping, dephasing_map
 from .states import DensityOperator, bell_phi_plus, from_pure, isotropic, tensor
 
 DEMO_SEED = 2024
@@ -79,10 +78,11 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     from its description passes that vector through untouched.
     """
     sigma = isotropic(2, 1.0 / 3.0)
-    branch = _eigen_dephasing_branch(sigma)
+    # sigma has no eigen-dephasing description, so the branch takes its eigenbasis
+    branch = dephasing_map(qrt.canonical_eigenbasis(sigma.mat))
     phi = bell_phi_plus(2)
-    receiver = apply(branch, phi)
-    fixed = apply(branch, sigma)
+    receiver = DensityOperator(branch.apply_matrix(phi.mat), phi.dims)
+    fixed = DensityOperator(branch.apply_matrix(sigma.mat), sigma.dims)
     verdict = qrt.is_free_entanglement(receiver, cut=(0,))
     return CensorshipReport(
         blocks=((receiver, 1),),

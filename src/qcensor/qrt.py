@@ -417,6 +417,9 @@ class Description:
     payload: tuple
     label: bytes
     state: DensityOperator
+    # imaginarity: the read-only canonical eigenbasis of ``state`` that the
+    # label was computed from, and that the eigen-dephasing branch dephases in
+    basis: np.ndarray | None = None
 
 
 def _require_state(theory: str, sigma: DensityOperator | None) -> DensityOperator:
@@ -443,17 +446,19 @@ def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None
     verdict = is_free_imaginarity(_require_state("imaginarity", sigma))
     if not verdict.is_free:
         raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
-    real_mat = sigma.mat.real.astype(complex)
-    vecs = canonical_eigenbasis(real_mat)
+    # the validated state is its own real part when every imaginary entry is +0.0
+    if sigma.mat.imag.any() or np.signbit(sigma.mat.imag).any():
+        sigma = DensityOperator(sigma.mat.real.astype(complex), sigma.dims)
+    vecs = canonical_eigenbasis(sigma.mat)
     if float(np.abs(vecs.imag).max()) > 1e-8:
         raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
+    vecs.setflags(write=False)
     # Order columns by the quantized vectors themselves, not by eigenvalue,
     # so that commuting states (same eigenvectors, any spectra) share a label
     # and sub-label noise cannot reorder columns the label cannot tell apart.
     payload = tuple(sorted(_quantize(vecs.real.T)))
     label = f"imaginarity|eigenbasis|{_render(payload, ';,')}".encode()
-    canonical = DensityOperator(real_mat, sigma.dims)
-    return Description("imaginarity", payload, label, canonical)
+    return Description("imaginarity", payload, label, sigma, vecs)
 
 
 def _normalize_ensemble(
@@ -599,10 +604,16 @@ def _judge_discord(blocks: Sequence[Block]) -> Verdicts:
     return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
 
 
+@functools.cache
+def _phi_plus(d: int) -> np.ndarray:
+    """The read-only matrix of ``bell_phi_plus(d)``, built once per d."""
+    return bell_phi_plus(d).mat
+
+
 def _isotropic_weight(marginal: DensityOperator) -> float:
     # Twirl parameter estimated from the overlap with the maximally entangled state.
     d = marginal.dims[0]
-    overlap = float(np.trace(marginal.mat @ bell_phi_plus(d).mat).real)
+    overlap = float(np.trace(marginal.mat @ _phi_plus(d)).real)
     return (d * d * overlap - 1.0) / (d * d - 1.0)
 
 

@@ -25,17 +25,29 @@ from .states import DensityOperator
 
 
 def _number(value: Any, cast, what: str):
+    # JSON numbers only: float() and int() would also read "5" and true
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{what} must be a number, got {value!r}")
     try:
         return cast(value)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (ValueError, OverflowError) as exc:
         raise ScenarioError(f"{what} must be a number, got {value!r}") from exc
 
 
 def _integer(value: Any, what: str) -> int:
-    # int() would truncate 2.7 to 2 and read true as 1
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    # int() would truncate 2.7 to 2
+    if isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{what} must be an integer, got {value!r}")
     return _number(value, int, what)
+
+
+def _non_numbers(table: Any):
+    """The entries of a nested list of numbers that are not JSON numbers."""
+    if isinstance(table, list):
+        for row in table:
+            yield from _non_numbers(row)
+    elif isinstance(table, bool) or not isinstance(table, (int, float)):
+        yield table
 
 
 def matrix_to_json(mat: np.ndarray) -> dict:
@@ -46,6 +58,9 @@ def matrix_to_json(mat: np.ndarray) -> dict:
 def matrix_from_json(obj: Any, what: str = "matrix") -> np.ndarray:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
         raise ScenarioError(f"{what} must be an object with 're' and 'im' tables")
+    for key in ("re", "im"):
+        for value in _non_numbers(obj[key]):
+            raise ScenarioError(f"{what} entries must be numbers, got {value!r}")
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)

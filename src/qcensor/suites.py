@@ -107,6 +107,7 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
     """
     rng = make_rng(seed)
     result = SuiteResult("convex_unbreakable", True, samples, seed)
+    mixed = maximally_mixed((2, 2))
     for _ in range(samples):
         ensembles = [random_separable_ensemble(rng) for _ in range(2)]
         descs = [encode_description("entanglement", ensemble=e) for e in ensembles]
@@ -119,7 +120,7 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
         tensor = joint.mat.reshape(joint.dims + joint.dims)
         weights = np.einsum(tensor, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5], [0, 3]).real
         # each registered description replaces its system; the reserved index gives I/4
-        targets = [d.state for d in ch.descriptions] + [maximally_mixed((2, 2))]
+        targets = [d.state for d in ch.descriptions] + [mixed]
         expected = np.zeros((16, 16), dtype=complex)
         for i in range(m):
             for j in range(m):

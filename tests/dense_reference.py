@@ -15,7 +15,9 @@ objective taking angles.
 The dense censorship engine builds the whole Kronecker joint of the
 message+system registers, lifts every link-noise Kraus operator to that
 joint, and sums the censored blocks over every combination of message
-outcomes with Kronecker-lifted branch Kraus operators. Its cost grows like
+outcomes with Kronecker-lifted branch Kraus operators. It builds those
+branches itself, in Kraus form, from each registered description, where
+qcensor builds each branch's transfer matrix alone. Its cost grows like
 (m*d)^(3N) for N pairs, so use it only on joints a few hundred wide at most.
 
 The dense verdicts judge the whole receiver: the affine tests read all of
@@ -98,6 +100,21 @@ def map_choi(fn, d_in: int, d_out: int) -> np.ndarray:
     return mat
 
 
+def kraus_branches(ch: ConditionalRDChannel) -> list[KrausChannel]:
+    """The branches of ``ch`` in message order, in Kraus form and built from
+    its descriptions alone: each described state's replacement, or dephasing
+    in its canonical eigenbasis, then the replacement by I/d."""
+    sig = ch.system_dims
+    if ch.kind == "replacement":
+        branches = [replacement_channel(d.state, in_dims=sig) for d in ch.descriptions]
+    else:
+        branches = [
+            dephasing_channel(qrt.canonical_eigenbasis(d.state.mat), dims=sig)
+            for d in ch.descriptions
+        ]
+    return branches + [replacement_channel(maximally_mixed(sig), in_dims=sig)]
+
+
 def lifted_kraus_apply(
     mat: np.ndarray, branch: KrausChannel, position: int, n_regs: int, reg_dim: int
 ) -> np.ndarray:
@@ -122,6 +139,7 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
     total = reg_dim**n
     tensor = joint.mat.reshape(joint.dims + joint.dims)
     message_axes = [k * group for k in range(n)]
+    branches = kraus_branches(ch)
 
     out = np.zeros((total, total), dtype=complex)
     for combo in product(range(message_dim), repeat=n):
@@ -131,7 +149,7 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
             indexer[n_factors + message_axes[k]] = i
         block = tensor[tuple(indexer)].reshape(total, total)
         for k, i in enumerate(combo):
-            block = lifted_kraus_apply(block, ch.branches[i], k, n, reg_dim)
+            block = lifted_kraus_apply(block, branches[i], k, n, reg_dim)
         out += block
     return (out + out.conj().T) / 2
 
@@ -186,12 +204,13 @@ def dense_run_protocol(scenario: NetworkScenario) -> tuple[np.ndarray, list[dict
         noise_ch = scenario.noise.build(channel.system_dims)
         joint = apply_link_noise(joint, noise_ch, n_senders, channel.message_dim)
         distances = []
+        branches = kraus_branches(channel)
         sender_pos = 0
         for st, descs in zip(scenario.strategies, per_strategy):
             if st.kind == "honest":
                 sent = st.state if st.state is not None else descs[0].state
                 noisy = kraus_apply(noise_ch.kraus, sent.mat)
-                branch = channel.branches[channel.labels.index(descs[0].label)]
+                branch = branches[channel.labels.index(descs[0].label)]
                 censored = kraus_apply(branch.kraus, noisy)
                 distances.append(
                     {

@@ -1,0 +1,176 @@
+"""Censoring branches built as transfers straight from their descriptions.
+
+Each branch transfer must equal, bit for bit, the transfer of the Kraus
+channel it replaces, and building the branches of imaginarity descriptions
+must neither diagonalize again nor build a Kraus list.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qcensor import qrt
+from qcensor.censorship import build_conditional_channel, encode_description
+from qcensor.channels import (
+    KrausChannel,
+    _spectral_columns,
+    _trace_preserving_map,
+    dephasing_channel,
+    dephasing_map,
+    replacement_channel,
+    replacement_map,
+)
+from qcensor.states import (
+    DensityOperator,
+    isotropic,
+    make_rng,
+    maximally_mixed,
+    random_density,
+    random_real_density,
+)
+
+REGISTERS = st.sampled_from([(2,), (2, 2)])
+
+
+def _bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes and equal bits, so 0.0 and -0.0 differ."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    return q
+
+
+@given(st.integers(0, 2**32 - 1), REGISTERS, st.integers(1, 4), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_replacement_transfer_is_the_kraus_transfer(seed, dims, rank, real):
+    dim = int(np.prod(dims))
+    rank = min(rank, dim)
+    draw = random_real_density if real else random_density
+    sigma = draw(dim, rank, make_rng(seed), dims=dims)
+    # a Ginibre state of rank r < d has d - r eigenvalues under 1e-12, dropped
+    assert _spectral_columns(sigma).shape[1] == rank
+    assert _bits(replacement_map(sigma).transfer, replacement_channel(sigma).transfer)
+
+
+def test_replacement_transfer_drops_eigenvalues_under_the_cut():
+    rng = make_rng(4)
+    u = _orthogonal(4, rng)
+    spectrum = np.array([0.6, 0.4 - 3e-13, 3e-13, 0.0])
+    sigma = DensityOperator((u * spectrum) @ u.T, (2, 2))
+    assert _spectral_columns(sigma).shape[1] == 2
+    assert _bits(replacement_map(sigma).transfer, replacement_channel(sigma).transfer)
+    for state in (maximally_mixed((2, 2)), maximally_mixed((2,)), isotropic(2, 1 / 3)):
+        assert _bits(replacement_map(state).transfer, replacement_channel(state).transfer)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    REGISTERS,
+    st.sampled_from(["distinct", "pair", "two_pairs", "flat"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_dephasing_transfer_is_the_kraus_transfer_on_degenerate_spectra(seed, dims, spectrum):
+    dim = int(np.prod(dims))
+    rng = make_rng(seed)
+    weights = {
+        "distinct": rng.random(dim) + np.arange(dim),
+        "pair": np.r_[1.0, 1.0, rng.random(dim - 2) + 2.0],
+        "two_pairs": np.r_[1.0, 1.0, 2.0, 2.0][:dim],
+        "flat": np.ones(dim),
+    }[spectrum]
+    u = _orthogonal(dim, rng)
+    sigma = DensityOperator((u * (weights / weights.sum())) @ u.T, dims)
+    desc = encode_description("imaginarity", sigma)
+    basis = qrt.canonical_eigenbasis(desc.state.mat)
+    assert _bits(desc.basis, basis)
+    reference = dephasing_channel(basis, dims=dims).transfer
+    assert _bits(dephasing_map(basis).transfer, reference)
+    ch = build_conditional_channel("imaginarity", "eigen_dephasing", [desc])
+    assert _bits(ch.branches[0].transfer, reference)
+    default = replacement_channel(maximally_mixed(dims), in_dims=dims).transfer
+    assert _bits(ch.branches[-1].transfer, default)
+
+
+def _diagonal_state(dims, rng) -> DensityOperator:
+    probs = rng.random(int(np.prod(dims))) + 0.05
+    return DensityOperator(np.diag(probs / probs.sum()).astype(complex), dims)
+
+
+@given(st.integers(0, 2**32 - 1), REGISTERS)
+@settings(max_examples=30, deadline=None)
+def test_replacement_branches_are_the_kraus_transfers(seed, dims):
+    rng = make_rng(seed)
+    descs = [encode_description("coherence", _diagonal_state(dims, rng)) for _ in range(2)]
+    ch = build_conditional_channel("coherence", "replacement", descs)
+    for desc, branch in zip(ch.descriptions, ch.branches):
+        kraus = replacement_channel(desc.state, in_dims=dims)
+        assert _bits(branch.transfer, kraus.transfer)
+        assert branch.in_dim == branch.out_dim == int(np.prod(dims))
+
+
+def test_a_broken_trace_row_is_rejected():
+    good = replacement_map(maximally_mixed((2,))).transfer.copy()
+    assert _trace_preserving_map(good, 2, 2).in_dim == 2
+    broken = good.copy()
+    broken[3, 0] += 1e-6  # row (1, 1): the trace of the image of |0><0| becomes 1 + 1e-6
+    with pytest.raises(ValueError, match="not trace preserving"):
+        _trace_preserving_map(broken, 2, 2)
+    off = good.copy()
+    off[0, 1] = 0.5  # the trace of the image of |0><1| becomes 0.5
+    with pytest.raises(ValueError, match="not trace preserving"):
+        _trace_preserving_map(off, 2, 2)
+    with pytest.raises(ValueError, match="not unitary"):
+        dephasing_map(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_branch_transfers_are_read_only():
+    desc = encode_description("imaginarity", random_real_density(2, 2, make_rng(1)))
+    assert not desc.basis.flags.writeable
+    ch = build_conditional_channel("imaginarity", "eigen_dephasing", [desc])
+    for branch in ch.branches:
+        with pytest.raises(ValueError, match="read-only"):
+            branch.transfer[0, 0] = 1.0
+
+
+def test_imaginarity_branches_reuse_the_description_basis(monkeypatch):
+    rng = make_rng(9)
+    states = [random_real_density(4, 3, rng, dims=(2, 2)) for _ in range(3)]
+    descs = [encode_description("imaginarity", s) for s in states]
+    build_conditional_channel("imaginarity", "eigen_dephasing", descs)  # the cached default
+    calls = {"eigenbasis": 0, "kraus": 0}
+    eigenbasis, post_init = qrt.canonical_eigenbasis, KrausChannel.__post_init__
+
+    def counted_eigenbasis(mat):
+        calls["eigenbasis"] += 1
+        return eigenbasis(mat)
+
+    def counted_post_init(self):
+        calls["kraus"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(qrt, "canonical_eigenbasis", counted_eigenbasis)
+    monkeypatch.setattr(KrausChannel, "__post_init__", counted_post_init)
+    ch = build_conditional_channel("imaginarity", "eigen_dephasing", descs)
+    assert ch.message_dim == 4
+    assert calls == {"eigenbasis": 0, "kraus": 0}
+
+
+def test_imaginarity_description_keeps_a_real_state_as_given():
+    sigma = random_real_density(2, 2, make_rng(3))
+    assert encode_description("imaginarity", sigma).state is sigma
+    # a -0.0 or a sub-tolerance imaginary part is dropped from the described state
+    negative_zero = sigma.mat.copy()
+    negative_zero.imag[0, 1] = -0.0
+    faint = sigma.mat + 1e-12j * np.array([[0, 1], [-1, 0]])
+    for mat in (negative_zero, faint):
+        noisy = DensityOperator(mat, (2,))
+        desc = encode_description("imaginarity", noisy)
+        assert desc.state is not noisy
+        assert not np.signbit(desc.state.mat.imag).any() and not desc.state.mat.imag.any()
+        assert desc.label == encode_description("imaginarity", sigma).label

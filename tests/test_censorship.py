@@ -286,10 +286,10 @@ def test_default_branch_is_built_once_per_signature():
     assert a.branches[-1] is b.branches[-1]
     pair = encode_description("discord", tensor(from_pure(Z0), from_pure(PLUS)))
     wide = build_conditional_channel("discord", "replacement", [pair])
-    assert wide.branches[-1] is not a.branches[-1] and wide.branches[-1].in_dims == (2, 2)
+    assert wide.branches[-1] is not a.branches[-1] and wide.branches[-1].in_dim == 4
     # shared, so nothing can write to it
     with pytest.raises(ValueError, match="read-only"):
-        a.branches[-1].kraus[0][0, 0] = 1.0
+        a.branches[-1].transfer[0, 0] = 1.0
 
 
 # --------------------------------------------------------- apply_censorship

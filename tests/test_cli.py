@@ -439,6 +439,50 @@ def _ensemble_terms(*shapes):
             "sender 0: 'spans' must be 1 for an honest sender, got 3",
         ),
         (_with(_honest_imaginarity_scenario(), rng="xorshift"), "unsupported rng 'xorshift'"),
+        (_with(_honest_imaginarity_scenario(), seed="5"), "'seed' must be a number, got '5'"),
+        (
+            _with(_discord_breach_scenario(), senders__0__spans="1"),
+            "sender 0 'spans' must be a number, got '1'",
+        ),
+        (
+            _with(_honest_imaginarity_scenario(), senders__0__state__dims=["2"]),
+            "sender 0 state dims must be a number, got '2'",
+        ),
+        (
+            _with(_honest_imaginarity_scenario(), senders__0__state__re=[["0.5", 0], [0, 0.5]]),
+            "sender 0 state entries must be numbers, got '0.5'",
+        ),
+        (
+            _with(_honest_imaginarity_scenario(), senders__0__state__im=[[0, 0], ["0", 0]]),
+            "sender 0 state entries must be numbers, got '0'",
+        ),
+        (
+            _with(_entanglement_honest(), senders__0__ensemble__0__weight=True),
+            "ensemble term 0 weight must be a number, got True",
+        ),
+        (
+            _with(
+                _entanglement_honest(),
+                senders__0__ensemble=[
+                    {"weight": 1.0, "factors": [[["1.0", 0], [0, 0]], [[0, 0], [1, 0]]]}
+                ],
+            ),
+            "ensemble term 0 amplitude must be a number, got '1.0'",
+        ),
+        (
+            _with(
+                _honest_imaginarity_scenario(),
+                noise={"kind": "depolarizing", "params": {"strength": True}},
+            ),
+            "noise 'strength' must be a number, got True",
+        ),
+        (
+            _with(
+                _honest_imaginarity_scenario(),
+                noise={"kind": "amplitude_damping", "params": {"gamma": "0.5"}},
+            ),
+            "noise 'gamma' must be a number, got '0.5'",
+        ),
     ],
     ids=[
         "seed-not-int",
@@ -466,6 +510,15 @@ def _ensemble_terms(*shapes):
         "honest-state-not-real",
         "spans-on-honest",
         "rng-unknown",
+        "seed-string",
+        "spans-string",
+        "dims-string-entry",
+        "re-string-entry",
+        "im-string-entry",
+        "weight-bool",
+        "amplitude-string",
+        "strength-bool",
+        "gamma-string",
     ],
 )
 def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_path, capsys):
@@ -488,7 +541,7 @@ def _ensemble_term(factors):
     [
         (_ensemble_term([]), "'factors' must be a non-empty list"),
         (_ensemble_term([[[1, 0, 9], [0, 0]], [[0, 0], [1, 0]]]), "list of [re, im] pairs"),
-        (_ensemble_term([[["nan", 0], [0, 0]], [[0, 0], [1, 0]]]), "amplitudes must be finite"),
+        (_ensemble_term([[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]), "amplitudes must be finite"),
     ],
     ids=["no-factors", "long-amplitude-pair", "nan-amplitude"],
 )

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qcensor import linalg
+from qcensor import linalg, qrt
 from qcensor.channels import apply, dephasing_channel, imaginarity_rd_map
 from qcensor.qrt import (
     DiscordOptions,
@@ -360,3 +360,10 @@ def test_local_range_ordering_sweep():
 def test_local_range_rejects_small_d():
     with pytest.raises(ValueError):
         isotropic_local_range(1)
+
+
+def test_isotropic_weight_reads_one_phi_plus_per_dimension():
+    phi = qrt._phi_plus(2)
+    assert phi is qrt._phi_plus(2) and not phi.flags.writeable
+    assert np.array_equal(phi, bell_phi_plus(2).mat)
+    assert abs(qrt._isotropic_weight(isotropic(2, 5 / 12)) - 5 / 12) < 1e-12
