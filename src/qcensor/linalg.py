@@ -11,8 +11,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-# Absolute eigenvalue tolerances; double precision keeps eigensolver error
-# well below 1e-10 for the dimensions handled here (<= 64).
+# Absolute eigenvalue tolerances. Matrices up to the 1024-wide receiver budget
+# are validated; for a unit-trace one there, eigensolver error (about d eps)
+# is below 3e-13, and the Cholesky backward error (about d^2 eps, below
+# 2.3e-10) fits inside the TOL_PSD / 2 shift of states._check_state.
 TOL_HERM = 1e-9
 TOL_PSD = 1e-9
 TOL_ORTH = 1e-9

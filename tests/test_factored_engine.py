@@ -225,10 +225,10 @@ def test_product_senders_never_validate_the_joint(monkeypatch):
     import qcensor.states as states
 
     widths = []
-    original = states.validate
+    original = states._check_state  # the one state check, of a matrix or a stack
 
     def spy(mat):
-        widths.append(np.asarray(mat).shape[0])
+        widths.append(np.asarray(mat).shape[-1])
         return original(mat)
 
     sigma = isotropic(2, 5 / 12)
@@ -236,7 +236,7 @@ def test_product_senders_never_validate_the_joint(monkeypatch):
         "locality", "replacement", [SenderStrategy("honest", state=sigma) for _ in range(4)]
     )
     with monkeypatch.context() as m:
-        m.setattr(states, "validate", spy)
+        m.setattr(states, "_check_state", spy)
         report = run_protocol(scenario)
     assert max(widths) == 4
     receiver, dims = report.render_receiver()

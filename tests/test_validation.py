@@ -5,7 +5,9 @@ checks its matrix once. These tests hold it to the oracles in
 ``dense_reference``: the same accept/reject outcome, the same exception type
 and message, bit-identical reports, stored matrices and transfer matrices.
 ``validate`` also reads a stack of matrices, which it reports as the worst
-of each field over the stack.
+of each field over the stack. The Cholesky check behind ``DensityOperator``
+and ``density_stack`` is held to ``validate``: the same verdict and the same
+rejection message.
 """
 
 from collections import Counter
@@ -20,7 +22,7 @@ from dense_reference import (
     reference_kraus_transfer,
     reference_validate,
 )
-from qcensor import linalg
+from qcensor import linalg, states
 from qcensor.channels import KrausChannel
 from qcensor.states import DensityOperator, validate
 
@@ -126,6 +128,73 @@ def test_density_operator_matches_the_oracle(mat, dims, fortran):
         assert got[1] == _outcome(validate, mat)[1]
 
 
+HUGE = 1.7976931348623157e308  # the Hermitian part of a pair of these overflows
+
+
+@st.composite
+def ginibre_stacks(draw):
+    """Stacks of rank-1, rank-deficient and full-rank Ginibre states, one row
+    of which may have its smallest eigenvalue, trace or Hermiticity placed
+    near a tolerance, a non-finite part or a Hermitian pair of huge entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.sampled_from((2, 4, 36, 144)))
+    rank = draw(st.sampled_from(sorted({1, 2, n // 2, n})))
+    count = draw(st.integers(1, 3))
+    g = rng.normal(size=(count, n, rank)) + 1j * rng.normal(size=(count, n, rank))
+    mats = g @ g.conj().swapaxes(1, 2)
+    mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+    k = draw(st.integers(0, count - 1))
+    low = draw(st.sampled_from(DEFECTS))
+    if low:  # the smallest eigenvalue at -low, the trace kept
+        w, u = np.linalg.eigh(mats[k])
+        w[-1] += w[0] + low
+        w[0] = -low
+        mats[k] = (u * w) @ u.conj().T
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    fault = draw(st.sampled_from((None, None, "trace", "herm", "non_finite", "huge")))
+    if fault == "trace":
+        mats[k] *= 1.0 + draw(st.sampled_from(STRADDLE)) * draw(st.sampled_from((1, -1)))
+    elif fault == "herm":
+        mats[k, i, j] += draw(st.sampled_from(STRADDLE)) * draw(st.sampled_from((1, 1j)))
+    elif fault == "non_finite":
+        mats[k, i, j] = draw(st.sampled_from(NON_FINITE))
+    elif fault == "huge":
+        mats[k, i, j] = mats[k, j, i] = HUGE
+    return mats if count > 1 or draw(st.booleans()) else mats[0]
+
+
+@given(st.one_of(matrices(), ginibre_stacks()))
+@settings(max_examples=400, deadline=None)
+def test_cholesky_check_matches_validate(mat):
+    # The Cholesky check accepts exactly what validate accepts and rejects the
+    # rest with validate's message: no band is exempt.
+    got = _outcome(lambda m: states._require_valid(states._check_state(m)), mat)
+    assert got == _outcome(lambda m: states._require_valid(validate(m)), mat)
+
+
+def _budget_state(rng, low: float) -> np.ndarray:
+    """A rank-4 Ginibre state 1024 wide, less low times a kernel projector,
+    renormalized: its smallest eigenvalue is -low / (1 - low)."""
+    g = rng.normal(size=(1024, 4)) + 1j * rng.normal(size=(1024, 4))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    q = np.linalg.qr(np.column_stack([g, rng.normal(size=1024)]))[0]
+    v = q[:, 4]  # orthogonal to the range of rho
+    return (rho - low * np.outer(v, v.conj())) / (1.0 - low)
+
+
+def test_budget_width_is_decided_by_the_factor_alone(calls):
+    # At the 1024-wide budget the d^2 eps backward error of Cholesky is
+    # largest; the TOL_PSD / 2 shift must still leave validate's verdict.
+    rng = np.random.default_rng(1024)
+    DensityOperator(_budget_state(rng, 0.0), (2,) * 10)
+    assert calls["eigvalsh"] == 0 and calls["cholesky"] == 1
+    bad = _budget_state(rng, 1.5e-9)
+    want = _outcome(lambda m: states._require_valid(validate(m)), bad)
+    assert want[0] == "raise" and "min eigenvalue -1.500e-09" in want[1][1]
+    assert _outcome(DensityOperator, bad, (2,) * 10) == want
+
+
 @st.composite
 def kraus_lists(draw):
     """Trace-preserving stacks, some broken: scaled near the TP tolerance,
@@ -181,13 +250,20 @@ def calls(monkeypatch):
 
     counting(linalg, "as_complex_matrix")
     counting(np.linalg, "eigvalsh")
+    counting(np.linalg, "cholesky")
     return counts
 
 
-def test_density_operator_coerces_once_and_diagonalizes_once(calls):
-    mat = np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex)
-    DensityOperator(mat, (2, 2))
-    assert calls == {"as_complex_matrix": 1, "eigvalsh": 1}
+def test_density_operator_coerces_once_and_factors_once(calls):
+    # A valid state is decided by one Cholesky factorization; eigvalsh runs
+    # once, and only for a state that fails, to word the rejection.
+    DensityOperator(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), (2, 2))
+    assert calls == {"as_complex_matrix": 1, "cholesky": 1}
+    for bad, factored in ((np.diag([1.5, -0.5]), 1), (np.eye(2), 0)):
+        calls.clear()
+        with pytest.raises(ValueError, match="invalid density operator"):
+            DensityOperator(bad, (2,))
+        assert (calls["eigvalsh"], calls["cholesky"]) == (1, factored)
 
 
 @pytest.mark.parametrize(
