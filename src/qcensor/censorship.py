@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import linalg, qrt
-from .channels import ChannelSpec, GeneralLinearMap, KrausChannel, dephasing_map, replacement_map
+from .channels import Channel, ChannelSpec, GeneralLinearMap, dephasing_channel, replacement_channel
 from .linalg import DimSignature
 from .qrt import Description
 from .states import DensityOperator, density_stack, make_rng, maximally_mixed
@@ -55,7 +55,7 @@ class ConditionalRDChannel:
     The message basis is the registration order of the labels plus one
     reserved last outcome for anything unrecognized, whose branch replaces
     the system by I/d. Each branch is a measure-and-prepare channel carried
-    as its trace-preserving transfer, built straight from its description.
+    as its transfer and its Holevo pairs, built straight from its description.
     """
 
     theory: str
@@ -76,14 +76,14 @@ class ConditionalRDChannel:
 def _eigen_dephasing_branch(desc: Description) -> GeneralLinearMap:
     # an imaginarity description keeps the basis its label was computed from
     basis = desc.basis if desc.basis is not None else qrt.canonical_eigenbasis(desc.state.mat)
-    return dephasing_map(basis)
+    return dephasing_channel(basis, desc.state.dims)
 
 
 @cache
 def _default_branch(sig: DimSignature) -> GeneralLinearMap:
     """The reserved outcome's branch, replacing the system by I/d; one
     read-only map per register signature."""
-    return replacement_map(maximally_mixed(sig))
+    return replacement_channel(maximally_mixed(sig))
 
 
 def build_conditional_channel(
@@ -129,7 +129,7 @@ def build_conditional_channel(
                 "label, which a replacement branch cannot serve"
             )
     if kind == "replacement":
-        branches = [replacement_map(d.state) for d in registered.values()]
+        branches = [replacement_channel(d.state) for d in registered.values()]
     else:
         branches = [_eigen_dephasing_branch(d) for d in registered.values()]
     return ConditionalRDChannel(
@@ -141,7 +141,7 @@ def build_conditional_channel(
     )
 
 
-def _stacked_transfer(ch: ConditionalRDChannel, noise: KrausChannel | None = None) -> np.ndarray:
+def _stacked_transfer(ch: ConditionalRDChannel, noise: Channel | None = None) -> np.ndarray:
     """The m branch transfers after the link noise, side by side.
 
     Column (i, s, s') is column (s, s') of T_Bi T_N, so the d^2 columns of
@@ -332,7 +332,7 @@ def _censor_sender(
     return DensityOperator((out + out.conj().T) / 2, sys)
 
 
-def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> KrausChannel:
+def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> Channel:
     try:
         noise = spec.build(sys)
     except (KeyError, TypeError, ValueError) as exc:
@@ -419,8 +419,8 @@ class NoiseComparison:
 
 def noise_comparison(
     sigma: DensityOperator,
-    noise: KrausChannel,
-    branch: KrausChannel | GeneralLinearMap | None = None,
+    noise: Channel,
+    branch: Channel | None = None,
     theory: str = "imaginarity",
     samples: int = 25,
     seed: int = 0,
@@ -442,7 +442,7 @@ def noise_comparison(
     if (entry.excess(outs, sigma.dims) > qrt.TOL_DIAG).any():
         raise ValueError("noise channel generates the resource on free states")
     if branch is None:  # sigma has no description: dephase in its own eigenbasis
-        branch = dephasing_map(qrt.canonical_eigenbasis(sigma.mat))
+        branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), sigma.dims)
     noisy = noise.apply_matrix(sigma.mat)
     censored = branch.apply_matrix(noisy)
     return NoiseComparison(

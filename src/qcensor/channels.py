@@ -3,9 +3,11 @@
 Every map acts through its transfer matrix T on row-major vectorized
 operators; a Kraus channel builds T = sum_k K (x) conj(K) once and keeps its
 Kraus operators only to certify that it is CPTP. The measure-and-prepare
-channels that censor (eigenbasis dephasing, replacement) also come as their
-transfer alone, checked to preserve the trace, bit for bit the transfer of
-their Kraus form. Conventions fixed repo-wide: the Choi matrix is the
+channels that censor, ``dephasing_channel`` and ``replacement_channel``, are
+general linear maps built from their transfer alone, bit for bit that of
+their Kraus form, each carrying its Holevo pairs (effects E_k, preparations
+s_k, with L(X) = sum_k Tr(E_k X) s_k) as its certificate that it is an
+entanglement-breaking channel. Conventions fixed repo-wide: the Choi matrix is the
 unnormalized ``C = sum_ij L(|i><j|) (x) |i><j|`` with ordering output (x)
 input, the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)], so the identity qubit
 channel has Choi ``2 * phi_plus`` and the transpose map has Choi SWAP.
@@ -13,8 +15,9 @@ channel has Choi ``2 * phi_plus`` and the transpose map has Choi SWAP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -92,24 +95,32 @@ class KrausChannel:
 class GeneralLinearMap:
     """Linear operator on matrix space, carried as its transfer matrix.
 
-    Covers maps with no Kraus form (non-CP maps), and channels built from
-    their transfer alone (``dephasing_map``, ``replacement_map``); ``transfer``
-    has shape (out_dim^2, in_dim^2) and acts on row-major vectorized operators.
+    ``transfer`` has shape (out_dim^2, in_dim^2) and acts on row-major
+    vectorized operators. A map from ``dephasing_channel`` or
+    ``replacement_channel`` also carries its Holevo pairs as read-only
+    stacks ``effects`` and ``preparations``; any other map (non-CP maps among
+    them) carries none and is not known to be a channel.
     """
 
     transfer: np.ndarray
-    in_dim: int
-    out_dim: int
+    in_dims: DimSignature
+    out_dims: DimSignature
+    in_dim: int = field(init=False, repr=False)
+    out_dim: int = field(init=False, repr=False)
+    effects: np.ndarray | None = field(init=False, repr=False, default=None)
+    preparations: np.ndarray | None = field(init=False, repr=False, default=None)
 
     def __post_init__(self) -> None:
-        arr = linalg.as_complex_matrix(self.transfer)
-        if arr.shape != (self.out_dim**2, self.in_dim**2):
-            raise ValueError(
-                f"transfer shape {arr.shape} != ({self.out_dim**2}, {self.in_dim**2})"
-            )
-        arr = arr.copy()
+        d_in, d_out = math.prod(self.in_dims), math.prod(self.out_dims)
+        arr = linalg.as_complex_matrix(self.transfer).copy()
+        if arr.shape != (d_out**2, d_in**2):
+            raise ValueError(f"transfer shape {arr.shape} != ({d_out**2}, {d_in**2})")
         arr.setflags(write=False)
         object.__setattr__(self, "transfer", arr)
+        object.__setattr__(self, "in_dims", linalg.check_signature(self.in_dims, d_in))
+        object.__setattr__(self, "out_dims", linalg.check_signature(self.out_dims, d_out))
+        object.__setattr__(self, "in_dim", d_in)
+        object.__setattr__(self, "out_dim", d_out)
 
     @classmethod
     def from_function(cls, fn, in_dim: int, out_dim: int | None = None) -> "GeneralLinearMap":
@@ -121,26 +132,28 @@ class GeneralLinearMap:
                 unit = np.zeros((in_dim, in_dim), dtype=complex)
                 unit[i, j] = 1.0
                 cols.append(np.asarray(fn(unit), dtype=complex).reshape(-1))
-        return cls(np.column_stack(cols), in_dim, d_out)
-
-    @classmethod
-    def from_kraus(cls, ch: KrausChannel) -> "GeneralLinearMap":
-        return cls(ch.transfer, ch.in_dim, ch.out_dim)
+        return cls(np.column_stack(cols), (in_dim,), (d_out,))
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return _act(self.transfer, self.in_dim, self.out_dim, mat)
 
 
-def apply(ch: KrausChannel | GeneralLinearMap, rho: DensityOperator):
+# either map class: certified as a channel by Kraus operators or Holevo pairs, or not
+Channel = KrausChannel | GeneralLinearMap
+
+
+def apply(ch: Channel, rho: DensityOperator):
     """Apply a channel to a state.
 
-    Kraus channels return a DensityOperator; general linear maps return a
-    plain matrix, since the output of a non-CP map may fail positivity.
+    A map certified as a channel, by Kraus operators or Holevo pairs, returns
+    a DensityOperator; any other map returns a plain matrix, since the output
+    of a non-CP map may fail positivity.
     """
     if rho.dim != ch.in_dim:
         raise ValueError(f"state dim {rho.dim} does not match channel input {ch.in_dim}")
     out = ch.apply_matrix(rho.mat)
-    return DensityOperator(out, ch.out_dims) if isinstance(ch, KrausChannel) else out
+    certified = isinstance(ch, KrausChannel) or ch.effects is not None
+    return DensityOperator(out, ch.out_dims) if certified else out
 
 
 def identity_channel(dims: Sequence[int] | int) -> KrausChannel:
@@ -170,68 +183,58 @@ def _spectral_columns(sigma: DensityOperator) -> np.ndarray:
     return v[:, keep] * np.sqrt(w)
 
 
-def _outer_products(cols: np.ndarray) -> np.ndarray:
-    """The stack of |c><c| over the columns c of a matrix, in column order."""
-    return cols.T[:, :, None] * cols.T.conj()[:, None, :]
+def _trace_preserving_map(
+    ch: GeneralLinearMap, effects: np.ndarray, preparations: np.ndarray
+) -> GeneralLinearMap:
+    """``ch`` certified by its Holevo pairs, once sum_s T[(s,s),(i,j)] is
+    delta_ij within TOL_TP: the transfer's form of sum_k K^dag K = I."""
+    traced = ch.transfer[:: ch.out_dim + 1].sum(axis=0).reshape(ch.in_dim, ch.in_dim)
+    defect = float(np.abs(traced - np.eye(ch.in_dim)).max())
+    if defect > TOL_TP:
+        raise ValueError(f"map is not trace preserving (transfer defect {defect:.3e})")
+    for name, stack in (("effects", effects), ("preparations", preparations)):
+        stack.setflags(write=False)
+        object.__setattr__(ch, name, stack)
+    return ch
 
 
-def dephasing_channel(basis: np.ndarray, dims: Sequence[int] | None = None) -> KrausChannel:
-    """Projective dephasing onto the columns of a unitary basis matrix."""
+# The two builders below add their terms one at a time into zeros, in the
+# order of the Kraus loop, so every bit of the transfer agrees with that of the
+# Kraus channel sum_k K (x) conj(K) for any memory layout of their input.
+
+
+def dephasing_channel(basis: np.ndarray, dims: Sequence[int] | None = None) -> GeneralLinearMap:
+    """Projective dephasing onto the columns of a unitary basis matrix: the
+    Holevo pairs (P_a, P_a) and the transfer sum_a P_a (x) conj(P_a) for the
+    projector P_a on column a."""
     b = _unitary(basis)
-    sig = tuple(dims) if dims is not None else (b.shape[0],)
-    return KrausChannel(tuple(_outer_products(b)), sig, sig)
+    d = b.shape[0]
+    sig = tuple(dims) if dims is not None else (d,)
+    if math.prod(sig) != d:
+        raise ValueError(f"a basis of width {d} cannot dephase registers of dims {sig}")
+    proj = b.T[:, :, None] * b.T.conj()[:, None, :]  # P_a = |b_a><b_a|, in column order
+    transfer = np.zeros((d, d, d, d), dtype=complex)
+    for p, p_bar in zip(proj, proj.conj()):
+        transfer += p[:, None, :, None] * p_bar[None, :, None, :]
+    ch = GeneralLinearMap(transfer.reshape(d * d, d * d), sig, sig)
+    return _trace_preserving_map(ch, proj, proj)
 
 
 def replacement_channel(
     sigma: DensityOperator, in_dims: Sequence[int] | None = None
-) -> KrausChannel:
-    """Channel sending every input to ``sigma``; rank-one Kraus by construction."""
-    cols = _spectral_columns(sigma)
+) -> GeneralLinearMap:
+    """Channel sending every input to ``sigma``: the Holevo pair (I, s) and the
+    transfer |vec s><vec I| for the spectral reconstruction s of sigma from
+    ``_spectral_columns``, the sum of the rank-one Kraus terms."""
     in_sig = tuple(in_dims) if in_dims is not None else sigma.dims
-    d_in = int(np.prod(in_sig))
-    ops = []
-    for col in cols.T:
-        for i in range(d_in):
-            k = np.zeros((sigma.dim, d_in), dtype=complex)
-            k[:, i] = col
-            ops.append(k)
-    return KrausChannel(tuple(ops), in_sig, sigma.dims)
-
-
-def _trace_preserving_map(transfer: np.ndarray, d_in: int, d_out: int) -> GeneralLinearMap:
-    """The map of a transfer matrix, rejected unless sum_s T[(s,s),(i,j)] is
-    delta_ij within TOL_TP: the transfer's form of sum_k K^dag K = I."""
-    traced = transfer[:: d_out + 1].sum(axis=0).reshape(d_in, d_in)
-    defect = float(np.abs(traced - np.eye(d_in)).max())
-    if defect > TOL_TP:
-        raise ValueError(f"map is not trace preserving (transfer defect {defect:.3e})")
-    return GeneralLinearMap(transfer, d_in, d_out)
-
-
-# The two maps below sum their terms along a leading axis, which numpy does
-# term by term, in the order of the Kraus loop; adding 0.0 turns a -0.0 sum
-# into the 0.0 that the loop, starting from zeros, gives. So every bit of the
-# transfer agrees with the Kraus channel's.
-
-
-def dephasing_map(basis: np.ndarray) -> GeneralLinearMap:
-    """``dephasing_channel(basis)`` as its transfer alone: sum_a P_a (x) conj(P_a)
-    for the projector P_a on column a."""
-    b = _unitary(basis)
-    d = b.shape[0]
-    proj = _outer_products(b)
-    terms = proj[:, :, None, :, None] * proj.conj()[:, None, :, None, :]
-    return _trace_preserving_map(terms.sum(axis=0).reshape(d * d, d * d) + 0.0, d, d)
-
-
-def replacement_map(sigma: DensityOperator) -> GeneralLinearMap:
-    """``replacement_channel(sigma)`` as its transfer alone: |vec s><vec I| for
-    the spectral reconstruction s of sigma from ``_spectral_columns``."""
-    d = sigma.dim
-    target = _outer_products(_spectral_columns(sigma)).sum(axis=0) + 0.0
-    transfer = np.zeros((d * d, d, d), dtype=complex)
-    transfer[:, range(d), range(d)] = target.reshape(-1, 1)
-    return _trace_preserving_map(transfer.reshape(d * d, d * d), d, d)
+    d_in, d = math.prod(in_sig), sigma.dim
+    target = np.zeros((d, d), dtype=complex)
+    for col in _spectral_columns(sigma).T:
+        target += col[:, None] * col.conj()[None, :]
+    transfer = np.zeros((d * d, d_in, d_in), dtype=complex)
+    transfer[:, range(d_in), range(d_in)] = target.reshape(-1, 1)
+    ch = GeneralLinearMap(transfer.reshape(d * d, d_in * d_in), in_sig, sigma.dims)
+    return _trace_preserving_map(ch, np.eye(d_in, dtype=complex)[None], target[None])
 
 
 def depolarizing(dims: Sequence[int] | int, strength: float) -> KrausChannel:
@@ -281,7 +284,7 @@ def mix_maps(maps: Sequence[GeneralLinearMap], weights: Sequence[float]) -> Gene
     if any(m.in_dim != d_in or m.out_dim != d_out for m in maps):
         raise ValueError("maps must share input and output dimensions")
     transfer = sum(w * m.transfer for w, m in zip(weights, maps))
-    return GeneralLinearMap(transfer, d_in, d_out)
+    return GeneralLinearMap(transfer, maps[0].in_dims, maps[0].out_dims)
 
 
 @dataclass(frozen=True, eq=False)
@@ -305,7 +308,7 @@ class ChoiMatrix:
         object.__setattr__(self, "mat", arr)
 
 
-def choi(ch: KrausChannel | GeneralLinearMap) -> ChoiMatrix:
+def choi(ch: Channel) -> ChoiMatrix:
     """Choi matrix C = sum_ij L(|i><j|) (x) |i><j| (unnormalized, trace d),
     the reshuffle C[(a,i),(b,j)] = T[(a,b),(i,j)] of the transfer matrix."""
     d_in, d_out = ch.in_dim, ch.out_dim
@@ -313,9 +316,7 @@ def choi(ch: KrausChannel | GeneralLinearMap) -> ChoiMatrix:
     return ChoiMatrix(t.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
-def is_completely_positive(
-    ch: KrausChannel | GeneralLinearMap, tol: float = linalg.TOL_PSD
-) -> bool:
+def is_completely_positive(ch: Channel, tol: float = linalg.TOL_PSD) -> bool:
     """True iff the Choi matrix is positive semidefinite within tol."""
     return linalg.min_eigenvalue(choi(ch).mat) >= -tol
 
@@ -326,14 +327,6 @@ class EbVerdict:
 
     is_breaking: bool
     decisive: bool
-
-
-def _all_rank_one(ops: Iterable[np.ndarray]) -> bool:
-    for k in ops:
-        s = np.linalg.svd(k, compute_uv=False)
-        if s.size > 1 and s[1] > _RANK_ONE_TOL * max(1.0, float(s[0])):
-            return False
-    return True
 
 
 CHANNEL_KINDS = ("identity", "dephasing", "replacement", "depolarizing", "amplitude_damping")
@@ -350,16 +343,14 @@ class ChannelSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    def build(self, dims: Sequence[int] | int) -> KrausChannel:
+    def build(self, dims: Sequence[int] | int) -> Channel:
         sig = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
         d = int(np.prod(sig))
         if self.kind == "identity":
             return identity_channel(sig)
         if self.kind == "dephasing":
             basis = self.params.get("basis")
-            if basis is None:
-                basis = np.eye(d, dtype=complex)
-            return dephasing_channel(np.asarray(basis, dtype=complex), dims=sig)
+            return dephasing_channel(np.eye(d) if basis is None else basis, dims=sig)
         if self.kind == "replacement":
             target = self.params["state"]
             if not isinstance(target, DensityOperator):
@@ -374,15 +365,21 @@ class ChannelSpec:
         raise ValueError(f"unknown channel kind {self.kind!r}; known: {CHANNEL_KINDS}")
 
 
-def is_entanglement_breaking(ch: KrausChannel, tol: float = linalg.TOL_PSD) -> EbVerdict:
+def is_entanglement_breaking(ch: Channel, tol: float = linalg.TOL_PSD) -> EbVerdict:
     """Entanglement-breaking test.
 
-    A rank-one Kraus decomposition decides positively in any dimension. The
-    Choi PPT test decides both ways when the Choi matrix lives on 2x2 or
-    2x3; in larger dimensions PPT is only necessary, so a passing PPT is
-    reported with decisive=False while a failing PPT is decisive.
+    Holevo pairs, or a rank-one Kraus decomposition, decide positively in any
+    dimension. Otherwise the Choi PPT test decides both ways when the Choi
+    matrix lives on 2x2 or 2x3; in larger dimensions PPT is only necessary,
+    so a passing PPT is reported with decisive=False while a failing PPT is
+    decisive. A map with neither certificate is not known to be a channel.
     """
-    if _all_rank_one(ch.kraus):
+    if isinstance(ch, GeneralLinearMap):
+        if ch.effects is None:
+            raise ValueError("map is not known to be a channel: no Kraus operators or Holevo pairs")
+        return EbVerdict(True, True)
+    s = np.linalg.svd(np.array(ch.kraus), compute_uv=False)  # each row descends
+    if s.shape[1] == 1 or (s[:, 1] <= _RANK_ONE_TOL * np.maximum(1.0, s[:, 0])).all():
         return EbVerdict(True, True)
     c = choi(ch)
     pt = linalg.partial_transpose(c.mat, (c.out_dim, c.in_dim), 1)

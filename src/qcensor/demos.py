@@ -20,7 +20,7 @@ from .censorship import (
     noise_comparison,
     run_protocol,
 )
-from .channels import ChannelSpec, amplitude_damping, dephasing_map
+from .channels import ChannelSpec, amplitude_damping, dephasing_channel
 from .states import DensityOperator, bell_phi_plus, from_pure, isotropic, tensor
 
 DEMO_SEED = 2024
@@ -79,7 +79,7 @@ def smuggle_eigenstate_demo() -> CensorshipReport:
     """
     sigma = isotropic(2, 1.0 / 3.0)
     # sigma has no eigen-dephasing description, so the branch takes its eigenbasis
-    branch = dephasing_map(qrt.canonical_eigenbasis(sigma.mat))
+    branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), sigma.dims)
     phi = bell_phi_plus(2)
     receiver = DensityOperator(branch.apply_matrix(phi.mat), phi.dims)
     fixed = DensityOperator(branch.apply_matrix(sigma.mat), sigma.dims)

@@ -80,23 +80,22 @@ def _parts(mat: np.ndarray) -> tuple[np.ndarray, float, float, np.ndarray]:
     return arr, defect, max(map(abs, shifts)), herm
 
 
+def _report(defect: float, deviation: float, herm: np.ndarray) -> StateReport:
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.linalg.eigvalsh(herm)  # each row ascends
+    return StateReport(defect, float(w.min()), deviation)
+
+
 def validate(mat: np.ndarray) -> StateReport:
     """Report Hermiticity defect, minimum eigenvalue and trace deviation of a
     matrix; of a stack of matrices (..., d, d), the worst of each."""
-    _, defect, deviation, herm = _parts(mat)
-    with np.errstate(over="ignore", invalid="ignore"):
-        w = np.linalg.eigvalsh(herm)  # ascending
-    return StateReport(
-        hermiticity_defect=defect,
-        min_eigenvalue=float(w.min()),  # each row of w ascends
-        trace_deviation=deviation,
-    )
+    return _report(*_parts(mat)[1:])
 
 
 def _check_state(mat: np.ndarray) -> StateReport | None:
     """None when a matrix or stack (..., d, d) is a valid state by one Cholesky
     factorization of its shifted Hermitian part; otherwise ``validate``'s
-    report, whose eigvalsh settles the verdict and words a rejection.
+    report from the same parts, whose eigvalsh settles and words a rejection.
 
     Cholesky succeeds on H + sI only if H + sI + E is positive definite, with
     |E| <~ d^2 eps |H| (Higham, Accuracy and Stability of Numerical
@@ -108,13 +107,16 @@ def _check_state(mat: np.ndarray) -> StateReport | None:
     if defect <= linalg.TOL_HERM and deviation <= TOL_TRACE:
         d = arr.shape[-1]
         # herm is C-ordered, so this reshape is a view and its diagonal shifts
-        herm.reshape(*herm.shape[:-2], d * d)[..., :: d + 1] += linalg.TOL_PSD / 2
+        diag = herm.reshape(*herm.shape[:-2], d * d)[..., :: d + 1]
+        unshifted = diag.copy()
+        diag += linalg.TOL_PSD / 2
         try:
             if np.isfinite(np.linalg.cholesky(herm)).all():
                 return None
         except np.linalg.LinAlgError:
             pass
-    return validate(arr)
+        diag[...] = unshifted
+    return _report(defect, deviation, herm)
 
 
 def _require_valid(report: StateReport | None) -> None:

@@ -3,7 +3,12 @@
 The channel oracles act through the Kraus operators and the matrix units,
 where qcensor acts through the transfer matrix: the Kraus sum
 sum_k K X K^dag, the Choi matrix as sum_k vec(K) vec(K)^dag, and the Choi
-matrix of any linear map built from its action on the matrix units.
+matrix of any linear map built from its action on the matrix units. The
+dephasing and replacement channels come here in Kraus form, with their own
+spectral arithmetic, where qcensor builds their transfer and Holevo pairs
+straight from the basis or state: the projectors onto the basis columns,
+and sqrt(w_a) |v_a><i| for every kept eigenpair of the state and every
+input basis vector.
 
 The dense two-qubit discord evaluates one measurement angle at a time:
 for each it builds the two measured kets, their conditional blocks and
@@ -60,12 +65,11 @@ from qcensor.censorship import (
     encode_description,
 )
 from qcensor.channels import (
+    ChannelSpec,
     KrausChannel,
     amplitude_damping,
-    dephasing_channel,
     depolarizing,
     identity_channel,
-    replacement_channel,
 )
 from qcensor.states import DensityOperator, bell_phi_plus, isotropic, make_rng, maximally_mixed
 
@@ -100,19 +104,55 @@ def map_choi(fn, d_in: int, d_out: int) -> np.ndarray:
     return mat
 
 
+def kraus_dephasing(basis: np.ndarray, dims=None) -> KrausChannel:
+    """Dephasing onto the columns of a unitary basis: the Kraus operators
+    |b_a><b_a|, one per column in column order."""
+    b = np.asarray(basis, dtype=complex)
+    sig = tuple(dims) if dims is not None else (b.shape[0],)
+    return KrausChannel(tuple(np.outer(col, col.conj()) for col in b.T), sig, sig)
+
+
+def kraus_replacement(sigma: DensityOperator, in_dims=None) -> KrausChannel:
+    """Replacement by sigma: the Kraus operators sqrt(w_a) |v_a><i| over the
+    eigenpairs of sigma above 1e-12 (the spectrum clipped at 0 and
+    renormalized), each for every input basis vector i in turn."""
+    w, v = linalg.hermitian_eig(sigma.mat)
+    w = np.clip(w, 0.0, None)
+    keep = w > 1e-12
+    cols = v[:, keep] * np.sqrt(w[keep] / w[keep].sum())
+    in_sig = tuple(in_dims) if in_dims is not None else sigma.dims
+    d_in = int(np.prod(in_sig))
+    ops = []
+    for col in cols.T:
+        for i in range(d_in):
+            k = np.zeros((sigma.dim, d_in), dtype=complex)
+            k[:, i] = col
+            ops.append(k)
+    return KrausChannel(tuple(ops), in_sig, sigma.dims)
+
+
+def kraus_noise(spec: ChannelSpec, sys) -> KrausChannel:
+    """The link noise of a spec on registers ``sys``, in Kraus form."""
+    if spec.kind == "dephasing":
+        return kraus_dephasing(spec.params.get("basis", np.eye(int(np.prod(sys)))), sys)
+    if spec.kind == "replacement":
+        return kraus_replacement(spec.params["state"], in_dims=sys)
+    return spec.build(sys)
+
+
 def kraus_branches(ch: ConditionalRDChannel) -> list[KrausChannel]:
     """The branches of ``ch`` in message order, in Kraus form and built from
     its descriptions alone: each described state's replacement, or dephasing
     in its canonical eigenbasis, then the replacement by I/d."""
     sig = ch.system_dims
     if ch.kind == "replacement":
-        branches = [replacement_channel(d.state, in_dims=sig) for d in ch.descriptions]
+        branches = [kraus_replacement(d.state, in_dims=sig) for d in ch.descriptions]
     else:
         branches = [
-            dephasing_channel(qrt.canonical_eigenbasis(d.state.mat), dims=sig)
+            kraus_dephasing(qrt.canonical_eigenbasis(d.state.mat), dims=sig)
             for d in ch.descriptions
         ]
-    return branches + [replacement_channel(maximally_mixed(sig), in_dims=sig)]
+    return branches + [kraus_replacement(maximally_mixed(sig), in_dims=sig)]
 
 
 def lifted_kraus_apply(
@@ -201,7 +241,7 @@ def dense_run_protocol(scenario: NetworkScenario) -> tuple[np.ndarray, list[dict
     joint, n_senders = assemble_joint(scenario, per_strategy, channel)
     distances = None
     if scenario.noise is not None:
-        noise_ch = scenario.noise.build(channel.system_dims)
+        noise_ch = kraus_noise(scenario.noise, channel.system_dims)
         joint = apply_link_noise(joint, noise_ch, n_senders, channel.message_dim)
         distances = []
         branches = kraus_branches(channel)
@@ -596,8 +636,8 @@ def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]
     basis, _ = np.linalg.qr(ginibre + np.eye(2))
     plain = [
         identity_channel(2),
-        dephasing_channel(basis),
-        replacement_channel(reference_random_density(2, 2, rng)),
+        kraus_dephasing(basis),
+        kraus_replacement(reference_random_density(2, 2, rng)),
         depolarizing(2, 0.3),
         amplitude_damping(0.5),
     ]
@@ -607,14 +647,14 @@ def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]
             out = ch.apply_matrix(probe.mat)
             record("trace_preservation", abs(float(out.trace().real) - 1.0), 1e-10)
 
-    deph = dephasing_channel(basis)
+    deph = kraus_dephasing(basis)
     for _ in range(max(samples // 10, 5)):
         probe = reference_random_density(2, 2, rng)
         once = deph.apply_matrix(probe.mat)
         twice = deph.apply_matrix(once)
         record("dephasing_idempotence", float(np.abs(twice - once).max()), 1e-10)
 
-    repl = replacement_channel(reference_random_density(2, 2, rng))
+    repl = kraus_replacement(reference_random_density(2, 2, rng))
     for _ in range(max(samples // 10, 5)):
         a = repl.apply_matrix(reference_random_density(2, 2, rng).mat)
         b = repl.apply_matrix(reference_random_density(2, 2, rng).mat)

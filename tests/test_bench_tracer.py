@@ -52,6 +52,14 @@ def test_tracer_sees_the_channel_layers(capsys):
         assert totals.get(metric, 0) > 0, metric
 
 
+def test_tracer_sees_the_replacement_branches(capsys):
+    # every registered label's branch is built by replacement_channel; the I/d
+    # default may come from the process-wide cache
+    code, totals = _traced_totals(["demo", "bell_filter"], capsys)
+    assert code == EXIT_OK
+    assert totals.get("channels.replacement_channel.calls", 0) >= 2
+
+
 def test_tracer_sees_the_discord_layer(capsys):
     code, totals = _traced_totals(["demo", "discord_breach"], capsys)
     assert code == EXIT_BREACH

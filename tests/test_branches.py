@@ -1,8 +1,9 @@
-"""Censoring branches built as transfers straight from their descriptions.
+"""Measure-and-prepare channels built as transfers with their Holevo pairs.
 
-Each branch transfer must equal, bit for bit, the transfer of the Kraus
-channel it replaces, and building the branches of imaginarity descriptions
-must neither diagonalize again nor build a Kraus list.
+Each branch or noise transfer must equal, bit for bit, the Kraus-loop
+transfer of its reference Kraus form in ``dense_reference``; its Holevo pairs
+must act as its transfer does; and building the branches of imaginarity
+descriptions must neither diagonalize again nor build a Kraus list.
 """
 
 from __future__ import annotations
@@ -12,16 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dense_reference import kraus_dephasing, kraus_noise, kraus_replacement
 from qcensor import qrt
 from qcensor.censorship import build_conditional_channel, encode_description
 from qcensor.channels import (
+    TOL_TP,
+    ChannelSpec,
+    GeneralLinearMap,
     KrausChannel,
     _spectral_columns,
     _trace_preserving_map,
     dephasing_channel,
-    dephasing_map,
     replacement_channel,
-    replacement_map,
 )
 from qcensor.states import (
     DensityOperator,
@@ -31,6 +34,7 @@ from qcensor.states import (
     random_density,
     random_real_density,
 )
+from qcensor.suites import random_separable_ensemble
 
 REGISTERS = st.sampled_from([(2,), (2, 2)])
 
@@ -46,6 +50,11 @@ def _orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
+def _unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    return q
+
+
 @given(st.integers(0, 2**32 - 1), REGISTERS, st.integers(1, 4), st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_replacement_transfer_is_the_kraus_transfer(seed, dims, rank, real):
@@ -55,7 +64,7 @@ def test_replacement_transfer_is_the_kraus_transfer(seed, dims, rank, real):
     sigma = draw(dim, rank, make_rng(seed), dims=dims)
     # a Ginibre state of rank r < d has d - r eigenvalues under 1e-12, dropped
     assert _spectral_columns(sigma).shape[1] == rank
-    assert _bits(replacement_map(sigma).transfer, replacement_channel(sigma).transfer)
+    assert _bits(replacement_channel(sigma).transfer, kraus_replacement(sigma).transfer)
 
 
 def test_replacement_transfer_drops_eigenvalues_under_the_cut():
@@ -64,9 +73,9 @@ def test_replacement_transfer_drops_eigenvalues_under_the_cut():
     spectrum = np.array([0.6, 0.4 - 3e-13, 3e-13, 0.0])
     sigma = DensityOperator((u * spectrum) @ u.T, (2, 2))
     assert _spectral_columns(sigma).shape[1] == 2
-    assert _bits(replacement_map(sigma).transfer, replacement_channel(sigma).transfer)
+    assert _bits(replacement_channel(sigma).transfer, kraus_replacement(sigma).transfer)
     for state in (maximally_mixed((2, 2)), maximally_mixed((2,)), isotropic(2, 1 / 3)):
-        assert _bits(replacement_map(state).transfer, replacement_channel(state).transfer)
+        assert _bits(replacement_channel(state).transfer, kraus_replacement(state).transfer)
 
 
 @given(
@@ -89,11 +98,11 @@ def test_dephasing_transfer_is_the_kraus_transfer_on_degenerate_spectra(seed, di
     desc = encode_description("imaginarity", sigma)
     basis = qrt.canonical_eigenbasis(desc.state.mat)
     assert _bits(desc.basis, basis)
-    reference = dephasing_channel(basis, dims=dims).transfer
-    assert _bits(dephasing_map(basis).transfer, reference)
+    reference = kraus_dephasing(basis, dims=dims).transfer
+    assert _bits(dephasing_channel(basis, dims=dims).transfer, reference)
     ch = build_conditional_channel("imaginarity", "eigen_dephasing", [desc])
     assert _bits(ch.branches[0].transfer, reference)
-    default = replacement_channel(maximally_mixed(dims), in_dims=dims).transfer
+    default = kraus_replacement(maximally_mixed(dims), in_dims=dims).transfer
     assert _bits(ch.branches[-1].transfer, default)
 
 
@@ -109,24 +118,110 @@ def test_replacement_branches_are_the_kraus_transfers(seed, dims):
     descs = [encode_description("coherence", _diagonal_state(dims, rng)) for _ in range(2)]
     ch = build_conditional_channel("coherence", "replacement", descs)
     for desc, branch in zip(ch.descriptions, ch.branches):
-        kraus = replacement_channel(desc.state, in_dims=dims)
+        kraus = kraus_replacement(desc.state, in_dims=dims)
         assert _bits(branch.transfer, kraus.transfer)
         assert branch.in_dim == branch.out_dim == int(np.prod(dims))
 
 
 def test_a_broken_trace_row_is_rejected():
-    good = replacement_map(maximally_mixed((2,))).transfer.copy()
-    assert _trace_preserving_map(good, 2, 2).in_dim == 2
-    broken = good.copy()
+    good = replacement_channel(maximally_mixed((2,)))
+    pairs = (good.effects.copy(), good.preparations.copy())
+
+    def certified(transfer):
+        return _trace_preserving_map(GeneralLinearMap(transfer, (2,), (2,)), *pairs)
+
+    assert certified(good.transfer).in_dim == 2
+    broken = good.transfer.copy()
     broken[3, 0] += 1e-6  # row (1, 1): the trace of the image of |0><0| becomes 1 + 1e-6
     with pytest.raises(ValueError, match="not trace preserving"):
-        _trace_preserving_map(broken, 2, 2)
-    off = good.copy()
+        certified(broken)
+    off = good.transfer.copy()
     off[0, 1] = 0.5  # the trace of the image of |0><1| becomes 0.5
     with pytest.raises(ValueError, match="not trace preserving"):
-        _trace_preserving_map(off, 2, 2)
+        certified(off)
     with pytest.raises(ValueError, match="not unitary"):
-        dephasing_map(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        dephasing_channel(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    REGISTERS,
+    st.sampled_from([(3,), (2, 2), (2, 3)]),
+    st.sampled_from(["dephasing", "replacement"]),
+)
+@settings(max_examples=40, deadline=None)
+def test_noise_transfers_are_the_kraus_transfers(seed, sys, target_dims, kind):
+    rng = make_rng(seed)
+    if kind == "dephasing":
+        spec = ChannelSpec("dephasing", {"basis": _unitary(int(np.prod(sys)), rng)})
+    else:  # the target may live on other registers than the input
+        target = random_density(int(np.prod(target_dims)), 2, rng, dims=target_dims)
+        spec = ChannelSpec("replacement", {"state": target})
+    assert _bits(spec.build(sys).transfer, kraus_noise(spec, sys).transfer)
+    default = ChannelSpec("dephasing")
+    assert _bits(default.build(sys).transfer, kraus_noise(default, sys).transfer)
+
+
+def _free_state(theory: str, dims, rng) -> tuple:
+    """(state, ensemble) of a free state of the theory, on ``dims`` where the
+    theory allows any register and on two qubits otherwise."""
+    dim = int(np.prod(dims))
+    if theory == "coherence":
+        return _diagonal_state(dims, rng), None
+    if theory == "imaginarity":
+        return random_real_density(dim, dim, rng, dims=dims), None
+    if theory == "entanglement":
+        return None, random_separable_ensemble(rng)
+    if theory == "discord":  # classical on the first qubit
+        p = rng.random()
+        parts = [np.kron(np.diag(np.eye(2)[a]), random_density(2, 2, rng).mat) for a in range(2)]
+        return DensityOperator(p * parts[0] + (1 - p) * parts[1], (2, 2)), None
+    return isotropic(2, rng.random() / 3), None
+
+
+def _check_certificate(channels, rng: np.random.Generator) -> None:
+    """Each channel's Holevo pairs act as its transfer, sum_k Tr(E_k X) s_k
+    = L(X) on a non-Hermitian X, and its effects sum to the identity."""
+    for ch in channels:
+        re, im = rng.standard_normal((2, ch.in_dim, ch.in_dim))
+        x = re + 1j * im
+        weights = np.einsum("kij,ji->k", ch.effects, x)
+        holevo = np.einsum("k,kab->ab", weights, ch.preparations)
+        assert np.abs(holevo - ch.apply_matrix(x)).max() < 1e-12
+        assert np.abs(ch.effects.sum(axis=0) - np.eye(ch.in_dim)).max() <= TOL_TP
+
+
+THEORY_KINDS = [
+    (theory, kind)
+    for theory, entry in sorted(qrt.THEORIES.items())
+    for kind in ("replacement", "eigen_dephasing")
+    if kind == "replacement" or entry.sample_free is not None
+]
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from(THEORY_KINDS), REGISTERS, st.integers(1, 3))
+@settings(max_examples=60, deadline=None)
+def test_every_branch_is_certified_by_its_holevo_pairs(seed, theory_kind, dims, n_descs):
+    theory, kind = theory_kind
+    rng = make_rng(seed)
+    descs = [encode_description(theory, *_free_state(theory, dims, rng)) for _ in range(n_descs)]
+    ch = build_conditional_channel(theory, kind, descs)
+    _check_certificate(ch.branches, rng)
+
+
+@given(st.integers(0, 2**32 - 1), REGISTERS, st.sampled_from([(3,), (2, 3)]))
+@settings(max_examples=40, deadline=None)
+def test_plain_channels_are_certified_by_their_holevo_pairs(seed, dims, in_dims):
+    rng = make_rng(seed)
+    dim = int(np.prod(dims))
+    sigma = random_density(dim, int(rng.integers(1, dim + 1)), rng, dims=dims)
+    channels = [
+        dephasing_channel(_unitary(dim, rng), dims),
+        replacement_channel(sigma),
+        replacement_channel(sigma, in_dims=in_dims),  # input registers unlike sigma's
+    ]
+    assert channels[-1].in_dims == in_dims and channels[-1].out_dims == dims
+    _check_certificate(channels, rng)
 
 
 def test_branch_transfers_are_read_only():
@@ -134,8 +229,9 @@ def test_branch_transfers_are_read_only():
     assert not desc.basis.flags.writeable
     ch = build_conditional_channel("imaginarity", "eigen_dephasing", [desc])
     for branch in ch.branches:
-        with pytest.raises(ValueError, match="read-only"):
-            branch.transfer[0, 0] = 1.0
+        for arr in (branch.transfer, branch.effects, branch.preparations):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0, 0] = 1.0
 
 
 def test_imaginarity_branches_reuse_the_description_basis(monkeypatch):

@@ -48,7 +48,9 @@ def test_kraus_channel_matches_kraus_sum_and_kraus_choi(drawn):
     x = _random_matrix(rng, ch.in_dim, ch.in_dim)
     assert np.abs(ch.apply_matrix(x) - kraus_apply(ch.kraus, x)).max() < TOL
     assert np.abs(choi(ch).mat - kraus_choi(ch.kraus)).max() < TOL
-    assert np.abs(GeneralLinearMap.from_kraus(ch).transfer - ch.transfer).max() == 0.0
+    lifted = GeneralLinearMap(ch.transfer, ch.in_dims, ch.out_dims)
+    assert np.abs(lifted.transfer - ch.transfer).max() == 0.0
+    assert (lifted.in_dim, lifted.out_dim) == (ch.in_dim, ch.out_dim)
 
 
 def _transpose(m):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from dense_reference import kraus_apply, kraus_choi, kraus_dephasing
 from qcensor import linalg
+from qcensor.censorship import build_conditional_channel, encode_description
 from qcensor.channels import (
     ChannelSpec,
+    EbVerdict,
     GeneralLinearMap,
     KrausChannel,
     amplitude_damping,
@@ -26,6 +29,7 @@ from qcensor.states import (
     make_rng,
     maximally_mixed,
     random_density,
+    random_real_density,
 )
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -245,19 +249,25 @@ def test_choi_partial_trace_invariant():
 
 def test_choi_consistent_with_kraus_application():
     rng = make_rng(10)
-    ch = dephasing_channel(np.column_stack([PLUS, MINUS]))
-    lifted = GeneralLinearMap.from_kraus(ch)
+    basis = np.column_stack([PLUS, MINUS])
+    ch, kraus = dephasing_channel(basis), kraus_dephasing(basis).kraus
+    assert np.abs(choi(ch).mat - kraus_choi(kraus)).max() < 1e-12
     for _ in range(10):
         rho = random_density(2, 2, rng)
-        assert np.abs(ch.apply_matrix(rho.mat) - lifted.apply_matrix(rho.mat)).max() < 1e-10
+        assert np.abs(ch.apply_matrix(rho.mat) - kraus_apply(kraus, rho.mat)).max() < 1e-10
 
 
 # ------------------------------------------------------ complete positivity
 
 
+def _uncertified(ch: KrausChannel) -> GeneralLinearMap:
+    """The transfer of a channel alone, with no Kraus operators to certify it."""
+    return GeneralLinearMap(ch.transfer, ch.in_dims, ch.out_dims)
+
+
 def test_kraus_channels_are_cp():
     for ch in (identity_channel(2), depolarizing(2, 0.5), amplitude_damping(0.2)):
-        assert is_completely_positive(GeneralLinearMap.from_kraus(ch))
+        assert is_completely_positive(_uncertified(ch))
 
 
 def test_imaginarity_map_not_cp():
@@ -266,8 +276,8 @@ def test_imaginarity_map_not_cp():
 
 def test_mixture_of_cp_maps_is_cp():
     maps = [
-        GeneralLinearMap.from_kraus(identity_channel(2)),
-        GeneralLinearMap.from_kraus(depolarizing(2, 0.7)),
+        _uncertified(identity_channel(2)),
+        _uncertified(depolarizing(2, 0.7)),
     ]
     assert is_completely_positive(mix_maps(maps, [0.4, 0.6]))
 
@@ -283,6 +293,30 @@ def test_replacement_is_entanglement_breaking():
 def test_dephasing_is_entanglement_breaking():
     verdict = is_entanglement_breaking(dephasing_channel(np.column_stack([PLUS, MINUS])))
     assert verdict.is_breaking and verdict.decisive
+
+
+def test_branches_are_decisively_entanglement_breaking():
+    # both kinds of branch, and the I/d default, by their Holevo pairs alone
+    rng = make_rng(13)
+    for theory, kind in (("coherence", "replacement"), ("imaginarity", "eigen_dephasing")):
+        states = [random_real_density(2, 2, rng) for _ in range(2)]
+        if theory == "coherence":
+            states = [DensityOperator(np.diag(np.diag(s.mat)), (2,)) for s in states]
+        descs = [encode_description(theory, s) for s in states]
+        ch = build_conditional_channel(theory, kind, descs)
+        assert len(ch.branches) == 3
+        for branch in ch.branches:
+            assert branch.effects is not None
+            assert is_entanglement_breaking(branch) == EbVerdict(True, True)
+
+
+def test_a_map_with_no_certificate_is_not_known_to_be_a_channel():
+    for linear_map in (transpose_map(2), imaginarity_rd_map(2), _uncertified(identity_channel(2))):
+        with pytest.raises(ValueError, match="not known to be a channel"):
+            is_entanglement_breaking(linear_map)
+        assert not isinstance(apply(linear_map, maximally_mixed((2,))), DensityOperator)
+    for ch in (dephasing_channel(np.eye(2)), replacement_channel(maximally_mixed((2,)))):
+        assert isinstance(apply(ch, maximally_mixed((2,))), DensityOperator)
 
 
 def test_identity_not_entanglement_breaking():

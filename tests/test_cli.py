@@ -659,6 +659,17 @@ def test_noise_of_wrong_width_names_both_dimensions(tmp_path, capsys):
     assert "maps dimension 2 to dimension 3; registers have dimension 2" in err
 
 
+def test_dephasing_noise_of_wrong_width_names_basis_and_registers(tmp_path, capsys):
+    basis = {"re": np.eye(3).tolist(), "im": np.zeros((3, 3)).tolist()}
+    noise = {"kind": "dephasing", "params": {"basis": basis}}
+    path = _write(tmp_path, _with(_honest_imaginarity_scenario(), noise=noise))
+    code = main(["run", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert "a basis of width 3 cannot dephase registers of dims (2,)" in err
+    assert "Traceback" not in err
+
+
 def test_python_dash_m_entry_point():
     src = str(Path(qcensor.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}

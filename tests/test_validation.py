@@ -256,14 +256,15 @@ def calls(monkeypatch):
 
 def test_density_operator_coerces_once_and_factors_once(calls):
     # A valid state is decided by one Cholesky factorization; eigvalsh runs
-    # once, and only for a state that fails, to word the rejection.
+    # once, and only for a state that fails, to word the rejection from the
+    # parts already computed, so a rejected state is coerced once too.
     DensityOperator(np.diag([0.5, 0.25, 0.25, 0.0]).astype(complex), (2, 2))
     assert calls == {"as_complex_matrix": 1, "cholesky": 1}
     for bad, factored in ((np.diag([1.5, -0.5]), 1), (np.eye(2), 0)):
         calls.clear()
         with pytest.raises(ValueError, match="invalid density operator"):
             DensityOperator(bad, (2,))
-        assert (calls["eigvalsh"], calls["cholesky"]) == (1, factored)
+        assert (calls["as_complex_matrix"], calls["eigvalsh"], calls["cholesky"]) == (1, 1, factored)
 
 
 @pytest.mark.parametrize(
