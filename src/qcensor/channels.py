@@ -97,9 +97,10 @@ class GeneralLinearMap:
 
     ``transfer`` has shape (out_dim^2, in_dim^2) and acts on row-major
     vectorized operators. A map from ``dephasing_channel`` or
-    ``replacement_channel`` also carries its Holevo pairs as read-only
-    stacks ``effects`` and ``preparations``; any other map (non-CP maps among
-    them) carries none and is not known to be a channel.
+    ``replacement_channel``, or a convex ``mix_maps`` of such maps, also
+    carries its Holevo pairs as read-only stacks ``effects`` and
+    ``preparations``; any other map (non-CP maps among them) carries none and
+    is not known to be a channel.
     """
 
     transfer: np.ndarray
@@ -276,15 +277,25 @@ def imaginarity_rd_map(d: int = 2) -> GeneralLinearMap:
     return GeneralLinearMap.from_function(lambda m: (m + m.T) / 2, d)
 
 
-def mix_maps(maps: Sequence[GeneralLinearMap], weights: Sequence[float]) -> GeneralLinearMap:
-    """Convex (or affine) combination of linear maps with matching dims."""
+def mix_maps(maps: Sequence[Channel], weights: Sequence[float]) -> GeneralLinearMap:
+    """Convex (or affine) combination of linear maps with matching dims.
+
+    A convex mixture (weights >= 0 that sum to 1 within TOL_TP) of maps that
+    all carry Holevo pairs carries their weighted union (w_i E_k, s_k); any
+    other mixture carries none.
+    """
     if len(maps) != len(weights) or not maps:
         raise ValueError("need matching, nonempty maps and weights")
     d_in, d_out = maps[0].in_dim, maps[0].out_dim
     if any(m.in_dim != d_in or m.out_dim != d_out for m in maps):
         raise ValueError("maps must share input and output dimensions")
     transfer = sum(w * m.transfer for w, m in zip(weights, maps))
-    return GeneralLinearMap(transfer, maps[0].in_dims, maps[0].out_dims)
+    mixed = GeneralLinearMap(transfer, maps[0].in_dims, maps[0].out_dims)
+    convex = min(weights) >= 0 and abs(math.fsum(weights) - 1.0) <= TOL_TP
+    if not convex or any(getattr(m, "effects", None) is None for m in maps):
+        return mixed
+    effects = np.concatenate([w * m.effects for w, m in zip(weights, maps)])
+    return _trace_preserving_map(mixed, effects, np.concatenate([m.preparations for m in maps]))
 
 
 @dataclass(frozen=True, eq=False)

@@ -183,21 +183,27 @@ def _shannon(p: np.ndarray) -> np.ndarray:
     return -(p * np.log(np.where(p > 0, p, 1.0))).sum(axis=0)
 
 
-def _directions(theta: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Unit vectors, shape (3, n), of the Bloch angles (theta, phi)."""
-    return np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+def _directions(angles: np.ndarray) -> np.ndarray:
+    """Unit vectors, shape (3, n), of the Bloch angles (theta, phi), shape (n, 2)."""
+    s, c = np.sin(angles.T), np.cos(angles.T)
+    return np.array((s[0] * c[1], s[0] * s[1], c[0]))
 
 
 @functools.cache
 def _grid(grid_points: int) -> tuple[np.ndarray, np.ndarray]:
-    """The g x g grid's angles, shape (g*g, 2), and unit vectors, shape
-    (3, g*g), both read-only."""
+    """The g x g grid's angles, shape (g*g, 2), and directions, (3, g*g), read-only."""
     g = grid_points
     thetas = np.repeat(np.linspace(0.0, np.pi, g), g)
     phis = np.tile(np.linspace(0.0, 2 * np.pi, g, endpoint=False), g)
-    angles, dirs = np.stack((thetas, phis), axis=1), _directions(thetas, phis)
+    angles = np.stack((thetas, phis), axis=1)
+    dirs = _directions(angles)
     angles.flags.writeable = dirs.flags.writeable = False
     return angles, dirs
+
+
+# the four neighbours of a direction, theta +- step and then phi +- step, for
+# the grid step times 2^-e, e = 0..63 (no step floor allows e > 42)
+_LADDER = 2.0 ** -np.arange(64.0)[:, None, None] * [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
 def _conditional_entropies(coords: np.ndarray, n: np.ndarray) -> np.ndarray:
@@ -206,17 +212,18 @@ def _conditional_entropies(coords: np.ndarray, n: np.ndarray) -> np.ndarray:
     # vectors (b +- T^T n)/(1 +- a.n), so each outcome's unnormalized block
     # has eigenvalues (1 +- a.n +- |b +- T^T n|)/4. Sum_+- p S(block/p) is the
     # entropy of those four eigenvalues minus that of the two outcomes.
+    # The products keep their batches (the grid, then each ladder): BLAS
+    # output bits can change with a batch's width or position.
     an = coords[1:, 0] @ n
     tn = coords[1:, 1:].T @ n
     b = coords[0, 1:, None]
-    outcome = np.stack((1 + an, 1 - an))
-    bloch = np.sqrt(np.stack((((b + tn) ** 2).sum(0), ((b - tn) ** 2).sum(0))))
-    eigs = np.concatenate((outcome + bloch, outcome - bloch)) / 4
-    return _shannon(eigs) - _shannon(outcome / 2)
-
-
-# the four neighbours of a direction: theta +- step, then phi +- step
-_MOVES = np.array([(1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0)])
+    outcome = np.array((1 + an, 1 - an))
+    bloch = np.array((b + tn, b - tn))
+    bloch = np.sqrt(np.add.reduce(bloch * bloch, axis=1))
+    p = np.concatenate((outcome + bloch, outcome - bloch, 2 * outcome)) / 4
+    np.maximum(p, 0.0, out=p)
+    p *= np.log(p, out=np.zeros(p.shape), where=p > 0)
+    return np.add.reduce(p[4:]) - np.add.reduce(p[:4])
 
 
 def discord(
@@ -228,15 +235,12 @@ def discord(
 
     Mutual information minus the best classical correlations extractable by
     a projective measurement on ``measured_side`` ("X" = first factor,
-    "Y" = second). The grid's measurement directions are computed once per
-    grid size, and the whole grid is scored at once from the state's Pauli
-    coordinates. A refinement then moves to the best of the four
-    neighbouring angles, or halves its step when none improves. Each
-    evaluation scores the whole halving ladder at once: the neighbours at
-    step, step/2, step/4, ... down to the last rung that the step floor
-    and the remaining iterations allow. The rungs are then replayed in
-    order by that rule, each one using up an iteration, so the scanned path
-    and the result are those of one rung per evaluation.
+    "Y" = second). A cached grid of directions is scored in one evaluation
+    from the state's Pauli coordinates; the refinement then moves to the
+    best of the four neighbouring angles, or halves its step when none
+    improves. Each evaluation scores a whole halving ladder, as far as the
+    step floor and the remaining iterations allow, and replays its rungs in
+    order, so the result is that of one rung per evaluation.
     """
     if rho.dims != (2, 2):
         raise ValueError(f"discord optimizer supports 2x2 systems only, got {rho.dims}")
@@ -254,28 +258,24 @@ def discord(
     grid_angles, grid_dirs = _grid(opt.grid_points)
     grid = _conditional_entropies(coords, grid_dirs)
     k = int(np.argmin(grid))
-    best, angles = grid[k], grid_angles[k]
+    best, angles = float(grid[k]), grid_angles[k]
 
-    step = np.array([np.pi, 2 * np.pi]) / opt.grid_points
+    # the step after e halvings is base * 2^-e, exactly; the floor allows e < stop
+    base = np.array([np.pi, 2 * np.pi]) / opt.grid_points
+    e, stop = 0, int(np.count_nonzero(base[0] * _LADDER[:, 0, 0] >= DISCORD_MIN_STEP))
     remaining = opt.refine_iters
-    while remaining > 0 and step[0] >= DISCORD_MIN_STEP:
-        rungs, low = 1, step[0] / 2
-        while rungs < remaining and low >= DISCORD_MIN_STEP:
-            rungs, low = rungs + 1, low / 2
-        # halving by a power of two is exact: these are the stepwise steps
-        steps = step / 2.0 ** np.arange(rungs)[:, None]
-        trial = angles + _MOVES * steps[:, None]
-        vals = _conditional_entropies(coords, _directions(*trial.reshape(-1, 2).T))
-        vals = vals.reshape(rungs, 4)
-        # replay: move at the first rung that improves, else halve past them all
-        gains = vals.min(axis=1) < best - 1e-15
-        if gains.any():
-            r = int(np.argmax(gains))
-            j = int(np.argmin(vals[r]))
-            remaining, step = remaining - r - 1, steps[r]
-            best, angles = vals[r, j], trial[r, j]
-        else:
-            remaining, step = remaining - rungs, steps[-1] / 2
+    while remaining > 0 and e < stop:
+        rungs = min(remaining, stop - e)
+        trial = (angles + base * _LADDER[e : e + rungs]).reshape(-1, 2)
+        vals = _conditional_entropies(coords, _directions(trial)).tolist()
+        # replay: halve at each rung that does not improve, move at the first that does
+        for r in range(rungs):
+            row = vals[4 * r : 4 * r + 4]
+            if min(row) < best - 1e-15:
+                best, angles = min(row), trial[4 * r + row.index(min(row))]
+                break
+            e += 1
+        remaining -= r + 1
 
     # delta = S(measured marginal) - S(joint) + min conditional entropy
     return max(float(s_measured - s_joint + best), 0.0)

@@ -15,7 +15,9 @@ for each it builds the two measured kets, their conditional blocks and
 their eigendecompositions, and it refines for a fixed number of steps.
 The stepwise discord is the batched one with one refinement rung per
 evaluation, the grid's angles and directions built on every call, and the
-objective taking angles.
+objective taking angles. Its Luo objective stacks the outcome and Bloch
+rows one by one and sums two Shannon entropies, where qcensor builds the
+six distributions as one array and takes one logarithm.
 
 The dense censorship engine builds the whole Kronecker joint of the
 message+system registers, lifts every link-noise Kraus operator to that
@@ -319,11 +321,11 @@ def dense_discord(
     return max(s_measured - s_joint + best, 0.0)
 
 
-def _stepwise_conditional_entropies(
-    coords: np.ndarray, theta: np.ndarray, phi: np.ndarray
-) -> np.ndarray:
-    # qrt._conditional_entropies as it was, taking angles, not unit vectors
-    n = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+def luo_conditional_entropies(coords: np.ndarray, n: np.ndarray) -> np.ndarray:
+    """Luo's conditional entropies along the unit vectors n, shape (3, k):
+    the entropy of the four block eigenvalues (1 +- a.n +- |b +- T^T n|)/4
+    minus that of the two outcomes (1 +- a.n)/2, for the Pauli coordinates
+    of ``qrt._pauli_coordinates``."""
     an = coords[1:, 0] @ n
     tn = coords[1:, 1:].T @ n
     b = coords[0, 1:, None]
@@ -331,6 +333,14 @@ def _stepwise_conditional_entropies(
     bloch = np.sqrt(np.stack((((b + tn) ** 2).sum(0), ((b - tn) ** 2).sum(0))))
     eigs = np.concatenate((outcome + bloch, outcome - bloch)) / 4
     return qrt._shannon(eigs) - qrt._shannon(outcome / 2)
+
+
+def _stepwise_conditional_entropies(
+    coords: np.ndarray, theta: np.ndarray, phi: np.ndarray
+) -> np.ndarray:
+    # the stepwise objective takes angles, not unit vectors
+    n = np.stack((np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)))
+    return luo_conditional_entropies(coords, n)
 
 
 def stepwise_discord(

@@ -19,11 +19,15 @@ from qcensor.censorship import build_conditional_channel, encode_description
 from qcensor.channels import (
     TOL_TP,
     ChannelSpec,
+    EbVerdict,
     GeneralLinearMap,
     KrausChannel,
     _spectral_columns,
     _trace_preserving_map,
+    apply,
     dephasing_channel,
+    is_entanglement_breaking,
+    mix_maps,
     replacement_channel,
 )
 from qcensor.states import (
@@ -222,6 +226,35 @@ def test_plain_channels_are_certified_by_their_holevo_pairs(seed, dims, in_dims)
     ]
     assert channels[-1].in_dims == in_dims and channels[-1].out_dims == dims
     _check_certificate(channels, rng)
+
+
+def test_a_convex_mixture_carries_the_weighted_union_of_holevo_pairs():
+    rng = make_rng(5)
+    parts = [dephasing_channel(np.eye(2)), replacement_channel(maximally_mixed((2,)))]
+    mixed = mix_maps(parts, [0.5, 0.5])
+    assert isinstance(apply(mixed, random_density(2, 2, rng)), DensityOperator)
+    assert is_entanglement_breaking(mixed) == EbVerdict(True, True)
+    assert mixed.effects.shape == (3, 2, 2) and mixed.preparations.shape == (3, 2, 2)
+    assert _bits(mixed.effects, np.concatenate([0.5 * p.effects for p in parts]))
+    sigma = random_density(4, 3, rng, dims=(2, 2))
+    parts = [dephasing_channel(_unitary(4, rng), (2, 2)), replacement_channel(sigma)]
+    parts.append(dephasing_channel(np.eye(4), (2, 2)))
+    _check_certificate([mixed, mix_maps(parts, rng.dirichlet(np.ones(3)))], rng)
+
+
+def test_an_affine_mixture_or_an_uncertified_part_leaves_the_mixture_uncertified():
+    parts = [dephasing_channel(np.eye(2)), replacement_channel(maximally_mixed((2,)))]
+    uncertified = GeneralLinearMap(parts[1].transfer, (2,), (2,))
+    for maps, weights in (
+        (parts, [1.5, -0.5]),  # trace preserving, but not a channel
+        (parts, [0.5, 0.6]),
+        ([parts[0], uncertified], [0.5, 0.5]),
+    ):
+        mixed = mix_maps(maps, weights)
+        assert mixed.effects is None and mixed.preparations is None
+        assert not isinstance(apply(mixed, maximally_mixed((2,))), DensityOperator)
+        with pytest.raises(ValueError, match="not known to be a channel"):
+            is_entanglement_breaking(mixed)
 
 
 def test_branch_transfers_are_read_only():

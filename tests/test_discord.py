@@ -4,7 +4,8 @@ closed forms.
 
 The discord scores each refinement's whole halving ladder in one evaluation;
 it must return exactly what the stepwise search, one rung per evaluation,
-returns, with at most half its evaluations.
+returns, with at most half its evaluations. Each evaluation must give, bit
+for bit, what Luo's formula of ``dense_reference`` gives on the same batch.
 
 Closed forms: Luo's discord of Bell-diagonal states (PRA 77, 042303, 2008),
 which local unitaries leave unchanged; the entanglement entropy S(rho_A) for
@@ -27,6 +28,7 @@ from dense_reference import (
     _entropy_psd,
     _measured_conditional_entropy,
     dense_discord,
+    luo_conditional_entropies,
     stepwise_discord,
 )
 from qcensor import linalg, qrt
@@ -79,6 +81,20 @@ def test_discord_at_most_dense_discord(seed, rank, side):
 
 
 GRID_SIZES = st.sampled_from([1, 8, 60])
+FAMILIES = st.sampled_from(["ginibre", "breach"])
+
+
+def _state(family: str, seed: int, rank: int) -> DensityOperator:
+    """A Ginibre state of the given rank, or a breach mixture
+    w (II + a ZZ)/4 + (1 - w) (II + b XX)/4 under a random local unitary,
+    drawn as the discord_breach suite draws them."""
+    if family == "ginibre":
+        return random_density(4, rank, seed, dims=(2, 2))
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.25, 0.75)
+    a, b = (rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 0.9) for _ in range(2))
+    zz, xx = np.kron(PAULI_XYZ[2], PAULI_XYZ[2]), np.kron(PAULI_XYZ[0], PAULI_XYZ[0])
+    return _local(rng, (w * (np.eye(4) + a * zz) + (1 - w) * (np.eye(4) + b * xx)) / 4)
 
 
 @given(
@@ -88,14 +104,39 @@ GRID_SIZES = st.sampled_from([1, 8, 60])
     GRID_SIZES,
     GRID_SIZES,
     st.one_of(st.none(), st.integers(0, 80)),
+    FAMILIES,
 )
-@settings(max_examples=80)
-def test_discord_equals_the_stepwise_search(seed, rank, side, g, other_g, k):
-    rho = random_density(4, rank, seed, dims=(2, 2))
+@settings(max_examples=160)
+def test_discord_equals_the_stepwise_search(seed, rank, side, g, other_g, k, family):
+    rho = _state(family, seed, rank)
     opt = DiscordOptions(grid_points=g) if k is None else DiscordOptions(g, k)
     # a grid of another size is cached first, so one size cannot serve another
     discord(rho, side, DiscordOptions(grid_points=other_g))
     assert discord(rho, side, opt) == stepwise_discord(rho, side, opt)
+
+
+# the discord's batches: a ladder of any width up to 160 columns at random
+# angles, or the 64- or 3600-column grid
+BATCHES = st.one_of(
+    st.integers(1, 160).map(lambda width: ("angles", width)),
+    st.sampled_from([("grid", 8), ("grid", 60)]),
+)
+
+
+@given(SEEDS, st.integers(1, 4), SIDES, FAMILIES, BATCHES)
+@settings(max_examples=200)
+def test_conditional_entropies_equal_luos_formula_bit_for_bit(seed, rank, side, family, batch):
+    coords = qrt._pauli_coordinates(_state(family, seed, rank).mat)
+    coords = coords.T if side == "Y" else coords
+    kind, size = batch
+    if kind == "grid":
+        n = qrt._grid(size)[1]
+    else:
+        angles = np.random.default_rng(seed).uniform(0.0, [np.pi, 2 * np.pi], (size, 2))
+        n = qrt._directions(angles)
+    values, reference = qrt._conditional_entropies(coords, n), luo_conditional_entropies(coords, n)
+    assert values.shape == reference.shape == (n.shape[1],)
+    assert np.array_equal(values.view(np.uint64), reference.view(np.uint64))
 
 
 def _counted(monkeypatch, module, name: str) -> list[int]:
