@@ -152,27 +152,30 @@ def _stacked_transfer(ch: ConditionalRDChannel, noise: Channel | None = None) ->
 
 
 def _censor_joint(
-    stacked: np.ndarray, mat: np.ndarray, n_pairs: int, sys: DimSignature
-) -> DensityOperator:
-    """Censor a joint over ``n_pairs`` message+system pairs; the Hermitized
-    state on the systems.
+    stacked: np.ndarray, mats: np.ndarray, n_pairs: int, sys: DimSignature
+) -> np.ndarray:
+    """Censor a stack of joints over ``n_pairs`` message+system pairs, each
+    under its own stacked branch transfer (count, d^2, m d^2); the Hermitized
+    states on the systems, unchecked, shape (count, d^n, d^n).
 
     Each message register is read on its diagonal only; each pair's branch
-    transfers then act one matmul at a time, leading pair first.
+    transfers then act one batched matmul at a time, leading pair first.
+    Every joint is computed as it would be alone, bit for bit.
     """
-    d = int(np.prod(sys))
-    m = stacked.shape[1] // (d * d)
-    # pair k: message 3k, system row 3k+1, system column 3k+2
-    rows = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 1)]
-    cols = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 2)]
-    x = np.einsum(mat.reshape((m, d) * 2 * n_pairs), rows + cols, list(range(3 * n_pairs)))
+    count, d = len(mats), int(np.prod(sys))
+    m = stacked.shape[-1] // (d * d)
+    # pair k: message 3k+1, system row 3k+2, system column 3k+3; 0 is the stack
+    rows = [j for k in range(n_pairs) for j in (3 * k + 1, 3 * k + 2)]
+    cols = [j for k in range(n_pairs) for j in (3 * k + 1, 3 * k + 3)]
+    tensor = mats.reshape((count,) + (m, d) * 2 * n_pairs)
+    x = np.einsum(tensor, [0] + rows + cols, list(range(3 * n_pairs + 1)))
     for _ in range(n_pairs):
         # consume the leading pair; its output moves last
-        x = (stacked @ x.reshape(m * d * d, -1)).T
+        x = (stacked @ x.reshape(count, m * d * d, -1)).swapaxes(1, 2)
     width = d**n_pairs
-    order = list(range(0, 2 * n_pairs, 2)) + list(range(1, 2 * n_pairs, 2))
-    out = x.reshape((d, d) * n_pairs).transpose(order).reshape(width, width)
-    return DensityOperator((out + out.conj().T) / 2, sys * n_pairs)
+    order = [0] + list(range(1, 2 * n_pairs, 2)) + list(range(2, 2 * n_pairs + 1, 2))
+    out = x.reshape((count,) + (d, d) * n_pairs).transpose(order).reshape(count, width, width)
+    return (out + out.conj().swapaxes(1, 2)) / 2
 
 
 def _pair_dims(ch: ConditionalRDChannel, n: int) -> DimSignature:
@@ -193,7 +196,8 @@ def apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator) -> Densit
         raise ValueError(
             f"joint dims {joint.dims} are not message+system pairs {_pair_dims(ch, 1)}"
         )
-    return _censor_joint(_stacked_transfer(ch), joint.mat, n, ch.system_dims)
+    out = _censor_joint(_stacked_transfer(ch)[None], joint.mat[None], n, ch.system_dims)
+    return DensityOperator(out[0], ch.system_dims * n)
 
 
 @dataclass
@@ -322,7 +326,8 @@ def _censor_sender(
                 f"correlated strategy {pos}: joint dims {st.state.dims} != {expected} "
                 "(message registers have one index per registered label plus one)"
             )
-        return _censor_joint(stacked, st.state.mat, st.spans, sys)
+        out = _censor_joint(stacked[None], st.state.mat[None], st.spans, sys)
+        return DensityOperator(out[0], sys * st.spans)
     sent = st.state if st.state is not None else descs[0].state
     if sent.dims != sys:
         raise ScenarioError(f"sender {pos}: system dims {sent.dims} do not match register {sys}")

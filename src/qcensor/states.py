@@ -25,15 +25,25 @@ def _coerce_rng(rng: np.random.Generator | int | None) -> np.random.Generator:
     return make_rng(rng)
 
 
+def _uniforms(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """The generator uniforms behind count rows of n standard normals, drawn
+    in stream order; shape (count, 2, ceil(n / 2))."""
+    return rng.random((count, 2, (n + 1) // 2))
+
+
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """Rows of n standard normals from uniforms (count, 2, m), shape (count,
+    n); row k depends on row k of the uniforms alone, entry by entry."""
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1-u in (0,1], no log(0)
+    angle = 2 * np.pi * u[:, 1]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :n]
+
+
 def standard_normals(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
     """count rows of n standard normals via Box-Muller on generator uniforms,
     shape (count, n); row k is what the k-th of count successive one-row
     draws gives."""
-    m = (n + 1) // 2
-    u = rng.random((count, 2, m))
-    radius = np.sqrt(-2.0 * np.log1p(-u[:, 0]))  # 1-u in (0,1], no log(0)
-    angle = 2 * np.pi * u[:, 1]
-    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)], axis=1)[:, :n]
+    return _box_muller(_uniforms(rng, n, count), n)
 
 
 def complex_normals(rng: np.random.Generator, n: int, count: int = 1) -> np.ndarray:
@@ -203,17 +213,31 @@ def isotropic(d: int, p: float) -> DensityOperator:
     return DensityOperator(mat, (d, d))
 
 
-def _ginibre(dim: int, rank: int, rng, count: int, real: bool) -> np.ndarray:
-    """count Ginibre states G G^dag / Tr(G G^dag), G of shape (dim, rank) and
-    real when ``real``, unvalidated; shape (count, dim, dim)."""
+def _ginibre_draw(dim: int, rank: int, rng, count: int, real: bool) -> np.ndarray:
+    """The uniforms of count Ginibre matrices G of shape (dim, rank) in stream
+    order: per G one row of normals when ``real``, else a row of real parts
+    and then a row of imaginary parts."""
     if not 1 <= rank <= dim:
         raise ValueError(f"rank must be in [1, {dim}], got {rank}")
-    normals = standard_normals if real else complex_normals
-    g = normals(_coerce_rng(rng), dim * rank, count).reshape(count, dim, rank)
+    return _uniforms(_coerce_rng(rng), dim * rank, count if real else 2 * count)
+
+
+def _ginibre_states(u: np.ndarray, dim: int, rank: int, real: bool) -> np.ndarray:
+    """G G^dag / Tr(G G^dag) for each G drawn by ``_ginibre_draw``, from its
+    uniforms, unvalidated; shape (count, dim, dim). Each state depends on its
+    own uniforms alone, so a stack of successive draws gives each draw's
+    state bit for bit."""
+    z = _box_muller(u, dim * rank)
+    g = (z if real else z[0::2] + 1j * z[1::2]).reshape(-1, dim, rank)
     # G G^T of a real G reads one buffer twice, which numpy computes as such
     mats = (g @ (g if real else g.conj()).swapaxes(1, 2)).astype(complex, copy=False)
     mats /= np.trace(mats, axis1=1, axis2=2).real[:, None, None]
     return mats
+
+
+def _ginibre(dim: int, rank: int, rng, count: int, real: bool) -> np.ndarray:
+    """count Ginibre states drawn and built at once, unvalidated."""
+    return _ginibre_states(_ginibre_draw(dim, rank, rng, count, real), dim, rank, real)
 
 
 def random_densities(

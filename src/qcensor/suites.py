@@ -7,7 +7,9 @@ The breach-style suites pass by *finding* the breach.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -23,12 +25,17 @@ from .censorship import (
     Claim,
     ConditionalRDChannel,
     DensityOperator,
-    apply_censorship,
+    _censor_joint,
+    _stacked_transfer,
     build_conditional_channel,
     encode_description,
 )
 from .demos import discord_breach_demo, nonlocal_activation_demo
+from .qrt import Description
 from .states import (
+    _ginibre,
+    _ginibre_draw,
+    _ginibre_states,
     density_stack,
     isotropic,
     make_rng,
@@ -48,6 +55,10 @@ SUITE_NAMES = (
 )
 # suites that replay one fixed scenario, using neither the sample count nor the seed
 FIXED_SUITES = frozenset({"activation"})
+# The states a sampled suite draws for one chunk of samples take at most this
+# many bytes, and a wider state is a chunk of its own, so the sample count
+# sets a suite's run time but not its memory.
+CHUNK_BYTES = 2**17
 
 
 @dataclass
@@ -61,11 +72,21 @@ class SuiteResult:
 
     def record(self, key: str, values: float | np.ndarray, bound: float) -> None:
         """Record one defect, or a sample's defects in sampling order."""
-        values = np.atleast_1d(values)
-        self.max_defects[key] = max(self.max_defects.get(key, 0.0), float(values.max()))
-        for value in values[values > bound]:
+        self.record_samples({key: bound}, np.reshape(values, (-1, 1)))
+
+    def record_samples(self, bounds: dict[str, float], defects: np.ndarray) -> None:
+        """Record a table of defects, one row per sample and one column per
+        key of ``bounds``, as if each sample recorded its keys in turn."""
+        for key, column in zip(bounds, defects.T):
+            worst, prior = float(column.max()), self.max_defects.get(key, 0.0)
+            # a NaN defect is kept as the maximum, and fails below
+            self.max_defects[key] = worst if worst > prior or math.isnan(worst) else prior
+        keys = list(bounds)
+        # row-major order: sample by sample, and within a sample key by key
+        for row, col in zip(*np.nonzero(~(defects <= list(bounds.values())))):
             self.passed = False
-            msg = f"{key}: defect {value:.3e} exceeds bound {bound:.1e}"
+            key = keys[col]
+            msg = f"{key}: defect {defects[row, col]:.3e} exceeds bound {bounds[key]:.1e}"
             if msg not in self.failures:
                 self.failures.append(msg)
 
@@ -80,20 +101,71 @@ def random_separable_ensemble(rng: np.random.Generator, n_terms: int = 2, n_fact
     ]
 
 
+def _censored_samples(
+    result: SuiteResult,
+    theory: str,
+    kind: str,
+    describe: Callable[[np.random.Generator], list[Description]],
+    judge: Callable[[list[ConditionalRDChannel], np.ndarray, np.ndarray], tuple],
+    bounds: dict[str, float],
+) -> None:
+    """Censor one random two-sender joint per sample and record its defects.
+
+    Per sample, only what fixes where the next draw starts runs in sampling
+    order: ``describe`` draws and encodes the two claims, their conditional
+    channel is built, and the uniforms of a Ginibre joint over two
+    message+system pairs, as wide as that channel needs, are drawn. The
+    joints of one chunk and one width are then built, checked and censored
+    as one stack; ``judge`` turns the channels, joints and receivers into one
+    defect array per bound, and the samples record their defects in
+    sampling order, as each would alone.
+    """
+
+    def censor(chunk: list[tuple[int, ConditionalRDChannel, np.ndarray]]) -> None:
+        defects = np.empty((len(chunk), len(bounds)))
+        for dim in dict.fromkeys(dim for dim, _, _ in chunk):
+            idx = [k for k, item in enumerate(chunk) if item[0] == dim]
+            chs = [chunk[k][1] for k in idx]
+            draws = np.concatenate([chunk[k][2] for k in idx])
+            joints = density_stack(_ginibre_states(draws, dim, dim, real=False))
+            transfers = np.stack([_stacked_transfer(ch) for ch in chs])
+            receivers = density_stack(_censor_joint(transfers, joints, 2, chs[0].system_dims))
+            defects[idx] = np.column_stack(judge(chs, joints, receivers))
+        result.record_samples(bounds, defects)
+
+    rng = make_rng(result.seed)
+    chunk, size = [], 0
+    for _ in range(result.samples):
+        ch = build_conditional_channel(theory, kind, describe(rng))
+        dim = (ch.message_dim * int(np.prod(ch.system_dims))) ** 2
+        # the budget counts each joint's bytes; its uniforms, held until the
+        # chunk is censored, take as many again, and its temporaries a few times that
+        nbytes = 16 * dim * dim
+        # a chunk is censored before the next joint is drawn, and uses no draws
+        if chunk and size + nbytes > CHUNK_BYTES:
+            censor(chunk)
+            chunk, size = [], 0
+        chunk.append((dim, ch, _ginibre_draw(dim, dim, rng, 1, real=False)))
+        size += nbytes
+    if chunk:
+        censor(chunk)
+
+
 def suite_affine_unbreakable(samples: int = 200, seed: int = 7) -> SuiteResult:
     """Random two-sender joint states against eigenbasis-dephasing branches
     built from random real states; every receiver state must stay real."""
-    rng = make_rng(seed)
     result = SuiteResult("affine_unbreakable", True, samples, seed)
-    for _ in range(samples):
-        descs = [encode_description("imaginarity", random_real_density(2, 2, rng)) for _ in range(2)]
-        ch = build_conditional_channel("imaginarity", "eigen_dephasing", descs)
-        m = ch.message_dim
-        dim = (m * 2) ** 2
-        joint = random_density(dim, dim, rng, dims=(m, 2, m, 2))
-        receiver = apply_censorship(ch, joint)
-        result.record("receiver_max_imag", float(np.abs(receiver.mat.imag).max()), 1e-9)
-        result.record("trace_defect", abs(float(receiver.mat.trace().real) - 1.0), 1e-10)
+
+    def describe(rng: np.random.Generator) -> list[Description]:
+        # the two claims are two successive real draws, drawn at once
+        claims = [DensityOperator(m, (2,)) for m in _ginibre(2, 2, rng, 2, real=True)]
+        return [encode_description("imaginarity", c) for c in claims]
+
+    def judge(chs, joints, receivers) -> tuple:
+        return np.abs(receivers.imag).max(axis=(1, 2)), _trace_defects(receivers)
+
+    bounds = {"receiver_max_imag": 1e-9, "trace_defect": 1e-10}
+    _censored_samples(result, "imaginarity", "eigen_dephasing", describe, judge, bounds)
     return result
 
 
@@ -105,29 +177,32 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
     from the message-diagonal block weights, and must be PPT across every
     bipartition of the four qubits.
     """
-    rng = make_rng(seed)
     result = SuiteResult("convex_unbreakable", True, samples, seed)
-    mixed = maximally_mixed((2, 2))
-    for _ in range(samples):
+    mixed = maximally_mixed((2, 2)).mat
+
+    def describe(rng: np.random.Generator) -> list[Description]:
         ensembles = [random_separable_ensemble(rng) for _ in range(2)]
-        descs = [encode_description("entanglement", ensemble=e) for e in ensembles]
-        ch = build_conditional_channel("entanglement", "replacement", descs)
-        m = ch.message_dim
-        dim = (m * 4) ** 2
-        joint = random_density(dim, dim, rng, dims=(m, 2, 2, m, 2, 2))
-        receiver = apply_censorship(ch, joint)
+        return [encode_description("entanglement", ensemble=e) for e in ensembles]
+
+    def judge(chs, joints, receivers) -> tuple:
         # independent reconstruction from the diagonal message blocks
-        tensor = joint.mat.reshape(joint.dims + joint.dims)
-        weights = np.einsum(tensor, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5], [0, 3]).real
+        count, m = len(chs), chs[0].message_dim
+        tensors = joints.reshape((count,) + (m, 2, 2) * 4)
+        # one einsum per joint, so that each sums in the order it would alone
+        weights = np.array([np.einsum(t, [0, 1, 2, 3, 4, 5] * 2, [0, 3]).real for t in tensors])
         # each registered description replaces its system; the reserved index gives I/4
-        targets = [d.state for d in ch.descriptions] + [mixed]
-        expected = np.zeros((16, 16), dtype=complex)
+        targets = np.array([[d.state.mat for d in ch.descriptions] + [mixed] for ch in chs])
+        expected = np.zeros((count, 16, 16), dtype=complex)
         for i in range(m):
             for j in range(m):
-                expected += weights[i, j] * np.kron(targets[i].mat, targets[j].mat)
-        result.record("mixture_reconstruction", float(np.abs(receiver.mat - expected).max()), 1e-9)
-        ppt = qrt.ppt_all_cuts(receiver).witness_value
-        result.record("ppt_negativity", -min(0.0, ppt), 1e-9)
+                # np.kron of each joint's two targets, entry for entry
+                kron = targets[:, i, :, None, :, None] * targets[:, j, None, :, None, :]
+                expected += weights[:, i, j, None, None] * kron.reshape(count, 16, 16)
+        reconstruction = np.abs(receivers - expected).max(axis=(1, 2))
+        return reconstruction, qrt._ppt_excess(receivers, (2, 2, 2, 2))
+
+    bounds = {"mixture_reconstruction": 1e-9, "ppt_negativity": 1e-9}
+    _censored_samples(result, "entanglement", "replacement", describe, judge, bounds)
     return result
 
 
@@ -211,6 +286,18 @@ def _max_entries(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats).max(axis=(-2, -1))
 
 
+def _density_chunks(
+    dim: int, rng: np.random.Generator, count: int, group: int = 1
+) -> Iterator[np.ndarray]:
+    """``random_densities(dim, dim, rng, count)`` as successive stacks of
+    whole ``group``-row groups, each of at most CHUNK_BYTES unless one group
+    is wider; row k of the chunks is the k-th single draw, bit for bit."""
+    rows = max(CHUNK_BYTES // (16 * dim * dim) // group, 1) * group
+    # no probes at all is one empty stack, which random_densities rejects
+    for start in range(0, max(count, 1), rows):
+        yield random_densities(dim, dim, rng, min(rows, count - start))
+
+
 def _branch_condition_defects(
     ch: ConditionalRDChannel, rng: np.random.Generator, samples: int
 ) -> tuple[float, float]:
@@ -219,10 +306,12 @@ def _branch_condition_defects(
     excess = qrt.get_theory(ch.theory).excess
     dims = ch.system_dims
     dim = int(np.prod(dims))
-    probes = random_densities(dim, dim, rng, samples)
     # each branch's outputs are checked as states before they are judged
-    outs = (density_stack(b.apply_matrix(probes)) for b in ch.branches)
-    free_defect = max(float(excess(o, dims).max()) for o in outs)
+    free_defect = max(
+        float(excess(density_stack(b.apply_matrix(probes)), dims).max())
+        for probes in _density_chunks(dim, rng, samples)
+        for b in ch.branches
+    )
     fixed_defect = 0.0
     for desc, branch in zip(ch.descriptions, ch.branches):
         out = branch.apply_matrix(desc.state.mat)
@@ -234,8 +323,9 @@ def suite_channel_axioms(samples: int = 100, seed: int = 3) -> SuiteResult:
     """Trace preservation, dephasing idempotence, replacement input
     independence, and sampled branch conditions for every theory.
 
-    Each sampled check draws its probes as one stack, in the order of one
-    draw per probe, and applies a channel to the whole stack at once."""
+    Each sampled check draws its probes as stacks of at most CHUNK_BYTES, in
+    the order of one draw per probe, and applies a channel to a whole stack
+    at once."""
     rng = make_rng(seed)
     result = SuiteResult("channel_axioms", True, samples, seed)
     count = max(samples // 10, 5)
@@ -250,17 +340,21 @@ def suite_channel_axioms(samples: int = 100, seed: int = 3) -> SuiteResult:
         amplitude_damping(0.5),
     ]
     for ch in plain:
-        outs = ch.apply_matrix(random_densities(ch.in_dim, ch.in_dim, rng, count))
-        result.record("trace_preservation", _trace_defects(outs), 1e-10)
+        for probes in _density_chunks(ch.in_dim, rng, count):
+            result.record("trace_preservation", _trace_defects(ch.apply_matrix(probes)), 1e-10)
 
     deph = dephasing_channel(basis)
-    once = deph.apply_matrix(random_densities(2, 2, rng, count))
-    result.record("dephasing_idempotence", _max_entries(deph.apply_matrix(once) - once), 1e-10)
+    for probes in _density_chunks(2, rng, count):
+        once = deph.apply_matrix(probes)
+        defects = _max_entries(deph.apply_matrix(once) - once)
+        result.record("dephasing_idempotence", defects, 1e-10)
 
     repl = replacement_channel(random_density(2, 2, rng))
     # the inputs of each pair are successive draws: even rows, then odd rows
-    outs = repl.apply_matrix(random_densities(2, 2, rng, 2 * count))
-    result.record("replacement_input_independence", _max_entries(outs[0::2] - outs[1::2]), 1e-10)
+    for probes in _density_chunks(2, rng, 2 * count, group=2):
+        outs = repl.apply_matrix(probes)
+        defects = _max_entries(outs[0::2] - outs[1::2])
+        result.record("replacement_input_independence", defects, 1e-10)
 
     # One conditional channel per theory, eigenbasis dephasing where it censors.
     claims = {

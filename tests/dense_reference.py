@@ -48,7 +48,12 @@ The sampling oracles draw one state per call, judge one state per call with
 each theory's witness written for one matrix, and run the channel_axioms
 suite one probe at a time with a validated DensityOperator per branch
 output, where qcensor draws, validates, applies and judges a whole stack of
-probes at once.
+probes at once. The unbreakable suites run one sample at a time, each
+drawing, validating, censoring and judging its own joint, where qcensor
+draws each sample in stream order and then builds, checks, censors and
+judges the joints of a chunk of samples as one stack; the per-joint censor
+is the engine's single-joint path, where qcensor censors a stack of joints
+with one batched matmul per pair.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ from qcensor.censorship import (
     ConditionalRDChannel,
     NetworkScenario,
     _strategy_descriptions,
+    apply_censorship,
     build_conditional_channel,
     encode_description,
 )
@@ -73,7 +79,16 @@ from qcensor.channels import (
     depolarizing,
     identity_channel,
 )
-from qcensor.states import DensityOperator, bell_phi_plus, isotropic, make_rng, maximally_mixed
+from qcensor.states import (
+    DensityOperator,
+    bell_phi_plus,
+    isotropic,
+    make_rng,
+    maximally_mixed,
+    random_density,
+    random_real_density,
+)
+from qcensor.suites import SuiteResult, random_separable_ensemble
 
 
 def kraus_apply(kraus, mat: np.ndarray) -> np.ndarray:
@@ -193,6 +208,24 @@ def dense_apply_censorship(ch: ConditionalRDChannel, joint: DensityOperator):
         for k, i in enumerate(combo):
             block = lifted_kraus_apply(block, branches[i], k, n, reg_dim)
         out += block
+    return (out + out.conj().T) / 2
+
+
+def per_joint_censor(stacked: np.ndarray, mat: np.ndarray, n_pairs: int, sys) -> np.ndarray:
+    """One joint censored under its stacked branch transfer (d^2, m d^2), one
+    matmul per pair: the Hermitized receiver matrix."""
+    d = int(np.prod(sys))
+    m = stacked.shape[1] // (d * d)
+    # pair k: message 3k, system row 3k+1, system column 3k+2
+    rows = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 1)]
+    cols = [j for k in range(n_pairs) for j in (3 * k, 3 * k + 2)]
+    x = np.einsum(mat.reshape((m, d) * 2 * n_pairs), rows + cols, list(range(3 * n_pairs)))
+    for _ in range(n_pairs):
+        # consume the leading pair; its output moves last
+        x = (stacked @ x.reshape(m * d * d, -1)).T
+    width = d**n_pairs
+    order = list(range(0, 2 * n_pairs, 2)) + list(range(1, 2 * n_pairs, 2))
+    out = x.reshape((d, d) * n_pairs).transpose(order).reshape(width, width)
     return (out + out.conj().T) / 2
 
 
@@ -709,3 +742,58 @@ def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]
         record(f"condition_v_{theory}", free_defect, 1e-9 if theory == "locality" else 1e-8)
         record(f"condition_vi_{theory}", fixed_defect, 1e-9)
     return passed, defects, failures
+
+
+# The unbreakable suites one sample at a time: each sample draws its claims
+# one state at a time, and draws, validates, censors and judges its own joint.
+
+
+def per_sample_affine_unbreakable(samples: int, seed: int) -> SuiteResult:
+    """Random two-sender joint states against eigenbasis-dephasing branches
+    built from random real states; every receiver state must stay real."""
+    rng = make_rng(seed)
+    result = SuiteResult("affine_unbreakable", True, samples, seed)
+    for _ in range(samples):
+        descs = [encode_description("imaginarity", random_real_density(2, 2, rng)) for _ in range(2)]
+        ch = build_conditional_channel("imaginarity", "eigen_dephasing", descs)
+        m = ch.message_dim
+        dim = (m * 2) ** 2
+        joint = random_density(dim, dim, rng, dims=(m, 2, m, 2))
+        receiver = apply_censorship(ch, joint)
+        result.record("receiver_max_imag", float(np.abs(receiver.mat.imag).max()), 1e-9)
+        result.record("trace_defect", abs(float(receiver.mat.trace().real) - 1.0), 1e-10)
+    return result
+
+
+def per_sample_convex_unbreakable(samples: int, seed: int) -> SuiteResult:
+    """Random two-sender joint states against replacement branches built from
+    random separable two-qubit states.
+
+    The receiver must match the convex mixture reconstructed independently
+    from the message-diagonal block weights, and must be PPT across every
+    bipartition of the four qubits.
+    """
+    rng = make_rng(seed)
+    result = SuiteResult("convex_unbreakable", True, samples, seed)
+    mixed = maximally_mixed((2, 2))
+    for _ in range(samples):
+        ensembles = [random_separable_ensemble(rng) for _ in range(2)]
+        descs = [encode_description("entanglement", ensemble=e) for e in ensembles]
+        ch = build_conditional_channel("entanglement", "replacement", descs)
+        m = ch.message_dim
+        dim = (m * 4) ** 2
+        joint = random_density(dim, dim, rng, dims=(m, 2, 2, m, 2, 2))
+        receiver = apply_censorship(ch, joint)
+        # independent reconstruction from the diagonal message blocks
+        tensor = joint.mat.reshape(joint.dims + joint.dims)
+        weights = np.einsum(tensor, [0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 5], [0, 3]).real
+        # each registered description replaces its system; the reserved index gives I/4
+        targets = [d.state for d in ch.descriptions] + [mixed]
+        expected = np.zeros((16, 16), dtype=complex)
+        for i in range(m):
+            for j in range(m):
+                expected += weights[i, j] * np.kron(targets[i].mat, targets[j].mat)
+        result.record("mixture_reconstruction", float(np.abs(receiver.mat - expected).max()), 1e-9)
+        ppt = qrt.ppt_all_cuts(receiver).witness_value
+        result.record("ppt_negativity", -min(0.0, ppt), 1e-9)
+    return result

@@ -21,6 +21,7 @@ from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, build_pars
 from qcensor.demos import DEMOS
 from qcensor.serialize import matrix_to_json
 from qcensor.states import bell_phi_plus, from_pure, isotropic, random_real_density
+from qcensor.suites import SUITE_NAMES
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -216,6 +217,26 @@ def test_demo_unknown_lists_names(capsys):
 def test_demo_report_matches_golden(name, fmt, capsys):
     main(["demo", name, "--format", fmt])
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{fmt}").read_text()
+
+
+VERIFY_GOLDEN_CASES = [
+    (suite, seed, samples)
+    for suite in sorted(SUITE_NAMES)
+    for seed in (1, 7, 23)
+    for samples in (7, 20)
+]
+
+
+@pytest.mark.parametrize(
+    "suite,seed,samples",
+    VERIFY_GOLDEN_CASES,
+    ids=[f"{s}-seed{seed}-n{n}" for s, seed, n in VERIFY_GOLDEN_CASES],
+)
+def test_verify_json_matches_golden(suite, seed, samples, capsys):
+    args = ["verify", "--suite", suite, "--seed", str(seed), "--samples", str(samples)]
+    main([*args, "--format", "json"])
+    golden = GOLDEN / "verify" / f"{suite}-seed{seed}-n{samples}.json"
+    assert capsys.readouterr().out == golden.read_text()
 
 
 def test_demo_json_format(capsys):

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dense_reference import (
+    per_joint_censor,
     reference_channel_axioms,
     reference_complex_normals,
     reference_excess,
@@ -22,6 +23,7 @@ from dense_reference import (
     reference_validate,
 )
 from qcensor import linalg, qrt
+from qcensor.censorship import _censor_joint, _default_branch
 from qcensor.channels import amplitude_damping, depolarizing, replacement_channel
 from qcensor.states import (
     DensityOperator,
@@ -239,3 +241,34 @@ def test_partial_transpose_of_a_stack_is_each_partial_transpose():
     mats = random_densities(8, 8, make_rng(3), 4)
     got = linalg.partial_transpose(mats, (2, 2, 2), (0, 2))
     assert _bits(got) == _bits([linalg.partial_transpose(m, (2, 2, 2), (0, 2)) for m in mats])
+
+
+# ------------------------------------------------------------- censoring
+
+
+@st.composite
+def censor_cases(draw):
+    """A stack of joints over n_pairs message+system pairs, each with the
+    stacked transfer of its own m - 1 random replacement branches and I/d."""
+    rng = make_rng(draw(SEEDS))
+    sys = draw(st.sampled_from([(2,), (2, 2)]))
+    m, n_pairs, count = draw(st.integers(2, 4)), draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    d = int(np.prod(sys))
+    transfers = []
+    for _ in range(count):
+        states = [random_density(d, d, rng, sys) for _ in range(m - 1)]
+        branches = [replacement_channel(s) for s in states] + [_default_branch(sys)]
+        transfers.append(np.hstack([b.transfer for b in branches]))
+    width = (m * d) ** n_pairs
+    return np.stack(transfers), random_densities(width, width, rng, count), n_pairs, sys
+
+
+@given(censor_cases())
+@settings(max_examples=40)
+def test_stacked_censor_is_each_joint_censored_alone(case):
+    transfers, joints, n_pairs, sys = case
+    got = _censor_joint(transfers, joints, n_pairs, sys)
+    want = [per_joint_censor(t, j, n_pairs, sys) for t, j in zip(transfers, joints)]
+    assert _bits(got) == _bits(want)
+    # the one-joint entry is the stack of one
+    assert _bits(_censor_joint(transfers[:1], joints[:1], n_pairs, sys)) == _bits(want[:1])

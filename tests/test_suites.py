@@ -1,6 +1,19 @@
-import pytest
+import dataclasses
+import math
+import struct
+import tracemalloc
 
-from qcensor.suites import SUITE_NAMES, run_suite
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import dense_reference
+from dense_reference import per_sample_affine_unbreakable, per_sample_convex_unbreakable
+from qcensor import suites
+from qcensor.censorship import encode_description
+from qcensor.states import bell_phi_plus
+from qcensor.suites import SUITE_NAMES, SuiteResult, run_suite
 
 
 def test_suite_registry_names():
@@ -71,3 +84,157 @@ def test_suites_deterministic_for_seed():
     a = run_suite("affine_unbreakable", samples=5, seed=21)
     b = run_suite("affine_unbreakable", samples=5, seed=21)
     assert a.max_defects == b.max_defects
+
+
+def test_record_keeps_and_fails_a_nan_defect():
+    result = SuiteResult("k", True, 1, 0)
+    result.record("k", np.array([1e-12, np.nan]), 1e-9)
+    assert not result.passed
+    assert math.isnan(result.max_defects["k"])
+    assert result.failures == ["k: defect nan exceeds bound 1.0e-09"]
+    # a NaN maximum stays NaN under later finite defects
+    result.record("k", 0.5, 1.0)
+    assert math.isnan(result.max_defects["k"])
+
+
+def test_record_keeps_a_finite_maximum_and_its_sign():
+    result = SuiteResult("k", True, 1, 0)
+    result.record("k", -0.0, 1e-9)
+    assert math.copysign(1.0, result.max_defects["k"]) == 1.0
+    result.record("k", np.array([3e-10, 2e-9, 5e-9]), 1e-9)
+    assert result.max_defects["k"] == 5e-9
+    assert result.failures == [
+        "k: defect 2.000e-09 exceeds bound 1.0e-09",
+        "k: defect 5.000e-09 exceeds bound 1.0e-09",
+    ]
+
+
+PER_SAMPLE_ORACLES = {
+    "affine_unbreakable": per_sample_affine_unbreakable,
+    "convex_unbreakable": per_sample_convex_unbreakable,
+}
+
+
+def _fields(result: SuiteResult) -> tuple:
+    bits = {key: struct.pack("<d", value) for key, value in result.max_defects.items()}
+    return result.passed, bits, result.failures
+
+
+# A complex basis: an imaginarity branch that dephases in it leaks imaginarity.
+LEAKY_BASIS = np.array([[1, 1j], [1j, 1]]) / np.sqrt(2)
+# An entangled target: a replacement branch that prepares it breaks the PPT check.
+LEAKY_STATE = bell_phi_plus(2)
+
+
+def _forging(encode, forged: dict):
+    """``encode_description`` whose n-th call (from 1) returns
+    ``forged[n](descriptions made so far)`` where n is a key of ``forged``."""
+    made = []
+
+    def wrapper(*args, **kwargs):
+        made.append(encode(*args, **kwargs))
+        return forged[len(made)](made) if len(made) in forged else made[-1]
+
+    return wrapper
+
+
+def _forgeries(suite: str, collide, leak) -> dict:
+    """A label collision (m = 2) at each sample of ``collide``, its second
+    claim repeating its first, and a leaking first claim at each sample of
+    ``leak``."""
+    field, value = ("basis", LEAKY_BASIS) if suite == "affine_unbreakable" else ("state", LEAKY_STATE)
+    forged = {2 * k - 1: lambda made: dataclasses.replace(made[-1], **{field: value}) for k in leak}
+    forged.update({2 * k: lambda made: made[-2] for k in collide})
+    return forged
+
+
+def _run_both(suite: str, samples: int, seed: int, budget: int, forged: dict):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(suites, "CHUNK_BYTES", budget)
+        mp.setattr(suites, "encode_description", _forging(encode_description, forged))
+        got = run_suite(suite, samples, seed)
+        mp.setattr(dense_reference, "encode_description", _forging(encode_description, forged))
+        want = PER_SAMPLE_ORACLES[suite](samples, seed)
+    return got, want
+
+
+@pytest.mark.parametrize("suite,examples", [("affine_unbreakable", 25), ("convex_unbreakable", 6)])
+def test_unbreakable_suites_match_the_per_sample_oracle(suite, examples):
+    @settings(max_examples=examples)
+    @given(
+        samples=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+        budget=st.sampled_from([suites.CHUNK_BYTES, 2**12, 2**21]),
+        collide=st.sets(st.integers(1, 40), max_size=3),
+        leak=st.sets(st.integers(1, 40), max_size=2),
+    )
+    def check(samples, seed, budget, collide, leak):
+        got, want = _run_both(suite, samples, seed, budget, _forgeries(suite, collide, leak))
+        assert _fields(got) == _fields(want)
+
+    check()
+
+
+@pytest.mark.parametrize("suite", ["affine_unbreakable", "convex_unbreakable"])
+def test_a_forced_collision_and_failures_inside_one_chunk(suite):
+    """Sample 3 registers one label (m = 2, a narrower joint among wider
+    ones) inside a chunk of several joints, and samples 2 and 5 leak."""
+    forged = _forgeries(suite, {3}, {2, 5})
+    got, want = _run_both(suite, 8, 5, 2**21, forged)
+    assert not got.passed and len(got.failures) == 2
+    assert _fields(got) == _fields(want)
+
+
+@given(
+    st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 5e-10, 1e-9, 2e-9, 1e-3, np.nan]), min_size=2, max_size=2),
+        min_size=1,
+        max_size=6,
+    )
+)
+@settings(max_examples=200)
+def test_record_samples_is_each_sample_recording_its_keys_in_turn(rows):
+    bounds = {"a": 1e-9, "b": 1e-10}
+    got, want = SuiteResult("k", True, 1, 0), SuiteResult("k", True, 1, 0)
+    got.record_samples(bounds, np.array(rows))
+    for row in rows:
+        for (key, bound), value in zip(bounds.items(), row):
+            want.record(key, value, bound)
+    assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("suite", ["affine_unbreakable", "convex_unbreakable"])
+def test_no_samples_pass_with_no_defects(suite):
+    got = run_suite(suite, 0, 1)
+    assert _fields(got) == _fields(PER_SAMPLE_ORACLES[suite](0, 1)) == (True, {}, [])
+
+
+def test_channel_axioms_rejects_no_samples_as_an_empty_probe_stack():
+    with pytest.raises(ValueError, match=r"expected a non-empty matrix, got shape \(0, 2, 2\)"):
+        run_suite("channel_axioms", 0, 1)
+
+
+@pytest.mark.parametrize("suite", ["affine_unbreakable", "convex_unbreakable", "channel_axioms"])
+def test_chunk_budget_keeps_every_bit(suite, monkeypatch):
+    want = run_suite(suite, 30, 4)
+    for budget in (1, 2**12, 2**30):
+        monkeypatch.setattr(suites, "CHUNK_BYTES", budget)
+        assert _fields(run_suite(suite, 30, 4)) == _fields(want)
+
+
+@pytest.mark.parametrize(
+    "suite,counts",
+    [("affine_unbreakable", (6, 24)), ("convex_unbreakable", (6, 24)), ("channel_axioms", (40, 160))],
+)
+def test_peak_memory_does_not_grow_with_samples(suite, counts, monkeypatch):
+    # a 4 KiB budget holds one joint of either unbreakable suite, and 16
+    # two-qubit channel_axioms probes, so both counts fill whole chunks
+    monkeypatch.setattr(suites, "CHUNK_BYTES", 2**12)
+    run_suite(suite, 3, 1)  # caches filled
+    peaks = []
+    for samples in counts:
+        tracemalloc.start()
+        run_suite(suite, samples, 1)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0] + 2**14, peaks
