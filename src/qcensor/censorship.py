@@ -270,38 +270,83 @@ class CensorshipReport:
         return mat, tuple(d for block, _ in self.blocks for d in block.dims)
 
 
-def _to_description(theory: str, claim) -> Description:
+def _input_key(state, ensemble) -> tuple | None:
+    """The exact bits of an encoder's parsed input: a state's dims and matrix
+    bytes, and an ensemble's float weights and complex amplitude arrays. Input
+    in any other form has no key and is never shared, so building a key
+    cannot change which error a malformed input raises, or where."""
+    if state is not None and not isinstance(state, DensityOperator):
+        return None
+    terms = None
+    if ensemble is not None:
+        if not isinstance(ensemble, (list, tuple)):
+            return None
+        terms = []
+        for term in ensemble:
+            if not (isinstance(term, tuple) and len(term) == 2):
+                return None
+            weight, factors = term
+            if type(weight) is not float or not isinstance(factors, tuple):
+                return None
+            if not all(isinstance(f, np.ndarray) and f.dtype == complex for f in factors):
+                return None
+            terms.append((weight.hex(), tuple((f.shape, f.tobytes()) for f in factors)))
+        terms = tuple(terms)
+    return None if state is None else (state.dims, state.mat.tobytes()), terms
+
+
+def _memo(memo: dict, key, make):
+    """``make()``, made once per key of ``memo``; a None key is never shared."""
+    if key is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
+
+
+def _to_description(theory: str, claim, encoded: dict) -> Description:
     if isinstance(claim, Description):
         if claim.theory != theory:
             raise ScenarioError(f"claim encoded for {claim.theory!r}, scenario uses {theory!r}")
         return claim
     if isinstance(claim, Claim):
         try:
-            return encode_description(theory, sigma=claim.state, ensemble=claim.ensemble)
+            return _memo(
+                encoded,
+                _input_key(claim.state, claim.ensemble),
+                lambda: encode_description(theory, sigma=claim.state, ensemble=claim.ensemble),
+            )
         except ValueError as exc:
             raise ScenarioError(f"claim is not a valid free-state description: {exc}") from exc
     raise ScenarioError(f"unsupported claim object {type(claim)!r}")
 
 
 def _strategy_descriptions(scenario: NetworkScenario) -> list[list[Description]]:
+    """Each strategy's descriptions, each distinct claim encoded once."""
+    theory = scenario.theory
+    encoded: dict[tuple, Description] = {}  # input key -> description
     per_strategy: list[list[Description]] = []
     for pos, st in enumerate(scenario.strategies):
         if st.kind == "honest":
             try:
-                desc = encode_description(scenario.theory, sigma=st.state, ensemble=st.ensemble)
+                desc = _memo(
+                    encoded,
+                    _input_key(st.state, st.ensemble),
+                    lambda: encode_description(theory, sigma=st.state, ensemble=st.ensemble),
+                )
             except ValueError as exc:
                 raise ScenarioError(f"honest sender {pos}: {exc}") from exc
             if st.claimed is not None:
-                claimed = _to_description(scenario.theory, st.claimed)
+                claimed = _to_description(theory, st.claimed, encoded)
                 if claimed.label != desc.label:
                     raise ScenarioError(
                         f"honest sender {pos}: claimed description does not match the state"
                     )
             per_strategy.append([desc])
         elif st.kind == "untruthful":
-            per_strategy.append([_to_description(scenario.theory, st.claimed)])
+            per_strategy.append([_to_description(theory, st.claimed, encoded)])
         else:
-            per_strategy.append([_to_description(scenario.theory, c) for c in st.claimed])
+            per_strategy.append([_to_description(theory, c, encoded) for c in st.claimed])
     return per_strategy
 
 
@@ -311,12 +356,15 @@ def _censor_sender(
     descs: list[Description],
     channel: ConditionalRDChannel,
     stacked: np.ndarray,
+    censored: dict,
 ) -> DensityOperator:
     """One strategy's censored block.
 
     An honest or untruthful sender's message is its claim's label i, so its
-    block is the d^2 columns of label i times vec rho; a correlated strategy's
-    block is its joint operator over its own spans, censored pair by pair.
+    block is the d^2 columns of label i times vec rho, censored and checked
+    once per distinct (i, rho bits) of ``censored``, whose repeats get the same
+    object; a correlated strategy's block is its joint operator over its own
+    spans, censored pair by pair.
     """
     sys = channel.system_dims
     if st.kind == "correlated":
@@ -331,10 +379,15 @@ def _censor_sender(
     sent = st.state if st.state is not None else descs[0].state
     if sent.dims != sys:
         raise ScenarioError(f"sender {pos}: system dims {sent.dims} do not match register {sys}")
-    d2 = sent.dim**2
     i = channel.labels.index(descs[0].label)
-    out = (stacked[:, i * d2 : (i + 1) * d2] @ sent.mat.reshape(-1)).reshape(sent.mat.shape)
-    return DensityOperator((out + out.conj().T) / 2, sys)
+
+    def censor() -> DensityOperator:
+        d2 = sent.dim**2
+        out = (stacked[:, i * d2 : (i + 1) * d2] @ sent.mat.reshape(-1)).reshape(sent.mat.shape)
+        return DensityOperator((out + out.conj().T) / 2, sys)
+
+    key = _input_key(sent, None)
+    return _memo(censored, key and (i, key), censor)
 
 
 def _build_link_noise(spec: ChannelSpec, sys: DimSignature) -> Channel:
@@ -386,19 +439,24 @@ def run_protocol(scenario: NetworkScenario) -> CensorshipReport:
     stacked = _stacked_transfer(channel, noise_ch)
     blocks: list[qrt.Block] = []
     distances: list[dict] | None = None if noise_ch is None else []
+    censored_by_key: dict[tuple, DensityOperator] = {}
+    measured: dict[int, tuple[float, float]] = {}  # id of a shared block -> distances
     sender_pos = 0
     for pos, (st, descs) in enumerate(zip(scenario.strategies, per_strategy)):
-        censored = _censor_sender(pos, st, descs, channel, stacked)
+        censored = _censor_sender(pos, st, descs, channel, stacked, censored_by_key)
         blocks.append((censored, st.spans))
         if distances is not None and st.kind == "honest":
             sent = st.state if st.state is not None else descs[0].state
-            distances.append(
-                {
-                    "sender": sender_pos,
-                    "d_noisy": linalg.hs_distance(sent.mat, noise_ch.apply_matrix(sent.mat)),
-                    "d_censored": linalg.hs_distance(sent.mat, censored.mat),
-                }
+            # the same block object comes from the same label and sent bits
+            d_noisy, d_censored = _memo(
+                measured,
+                id(censored),
+                lambda: (
+                    linalg.hs_distance(sent.mat, noise_ch.apply_matrix(sent.mat)),
+                    linalg.hs_distance(sent.mat, censored.mat),
+                ),
             )
+            distances.append({"sender": sender_pos, "d_noisy": d_noisy, "d_censored": d_censored})
         sender_pos += st.spans
     verdicts, notes = theory.judge(blocks)
     primary = verdicts[scenario.theory]

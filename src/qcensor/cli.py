@@ -91,7 +91,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         raw = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:  # JSONDecodeError, bad UTF-8, over-long integers
+    except (OSError, ValueError, RecursionError) as exc:
+        # JSONDecodeError, bad UTF-8, over-long integers, nesting too deep to decode
         sys.stderr.write(f"could not parse scenario: {exc}\n")
         return EXIT_USAGE
     scenario = scenario_from_json(raw)

@@ -557,23 +557,41 @@ Verdicts = tuple[dict[str, ResourceVerdict], tuple[str, ...]]
 Block = tuple[DensityOperator, int]
 
 
-def _block_marginals(blocks: Sequence[Block]) -> list[DensityOperator]:
+def _each_once(test: Callable, items: Sequence, key: Callable = id) -> list:
+    """``test`` of each item in order, run once per distinct key: repeated
+    senders share one block object, and a test gives one object one result."""
+    done: dict = {}
+    out = []
+    for item in items:
+        k = key(item)
+        if k not in done:
+            done[k] = test(item)
+        out.append(done[k])
+    return out
+
+
+def _marginals(block: Block) -> list[DensityOperator]:
     # A one-register block is its own marginal; a block over several
     # registers is traced over its own factors only.
-    marginals = []
-    for block, spans in blocks:
-        if spans == 1:
-            marginals.append(block)
-            continue
-        group = len(block.dims) // spans
-        marginals.extend(block.marginal(range(k * group, (k + 1) * group)) for k in range(spans))
-    return marginals
+    state, spans = block
+    if spans == 1:
+        return [state]
+    group = len(state.dims) // spans
+    return [state.marginal(range(k * group, (k + 1) * group)) for k in range(spans)]
+
+
+def _block_marginals(blocks: Sequence[Block]) -> list[DensityOperator]:
+    per_block = _each_once(_marginals, blocks, key=lambda b: (id(b[0]), b[1]))
+    return [m for marginals in per_block for m in marginals]
 
 
 def _judge_affine(name: str) -> Callable[[Sequence[Block]], Verdicts]:
     # Every block has a positive diagonal entry, so a product is diagonal,
     # or real, exactly when every block is.
-    return lambda blocks: ({name: _worst([THEORIES[name].free(b) for b, _ in blocks])}, ())
+    return lambda blocks: (
+        {name: _worst(_each_once(THEORIES[name].free, [b for b, _ in blocks]))},
+        (),
+    )
 
 
 def _ppt_block(block: DensityOperator) -> ResourceVerdict:
@@ -586,7 +604,7 @@ def _ppt_blocks(blocks: Sequence[Block]) -> ResourceVerdict:
     # A product is PPT across every cut exactly when each block is PPT across
     # every cut of its own factors (Peres, PRL 77, 1413, 1996); tracing out the
     # other blocks, a local operation, gives the converse.
-    return _worst([_ppt_block(b) for b, _ in blocks], min)
+    return _worst(_each_once(_ppt_block, [b for b, _ in blocks]), min)
 
 
 def _discord_verdict(marginal: DensityOperator) -> ResourceVerdict:
@@ -598,7 +616,7 @@ def _discord_verdict(marginal: DensityOperator) -> ResourceVerdict:
 
 def _judge_discord(blocks: Sequence[Block]) -> Verdicts:
     marginals = _block_marginals(blocks)
-    verdict = _worst([_discord_verdict(m) for m in marginals])
+    verdict = _worst(_each_once(_discord_verdict, marginals))
     if len(marginals) == 1:
         return {"discord": verdict}, ()
     return {"discord": verdict}, ("multi-sender discord verdict checks each receiver marginal",)
@@ -621,17 +639,17 @@ def _judge_locality(blocks: Sequence[Block]) -> Verdicts:
     notes: list[str] = []
     marginals = _block_marginals(blocks)
     lower, upper = (float(x) for x in isotropic_local_range(2))
-    for k, marg in enumerate(marginals):
-        if marg.dims != (2, 2):
-            raise ValueError("locality verdicts support two-qubit registers only")
-        if lower - 1e-9 <= _isotropic_weight(marg) <= upper + 1e-9:
+    if any(marg.dims != (2, 2) for marg in marginals):
+        raise ValueError("locality verdicts support two-qubit registers only")
+    for k, weight in enumerate(_each_once(_isotropic_weight, marginals)):
+        if lower - 1e-9 <= weight <= upper + 1e-9:
             notes.append(
                 f"activation risk: receiver marginal {k} sits in the entangled-but-"
                 f"local window ({lower:.6f}, {upper:.6f}]; "
                 "copies of it can exhibit nonlocality jointly"
             )
     verdicts = {
-        "locality": _worst([is_free_locality(m) for m in marginals]),
+        "locality": _worst(_each_once(is_free_locality, marginals)),
         "entanglement": _ppt_blocks(blocks),
     }
     notes.append("locality breach determination is limited to per-pair CHSH")

@@ -212,17 +212,23 @@ def report_to_json(
 def _table_json(table: np.ndarray, pad: str) -> str:
     # json.dumps(table.tolist(), indent=2) for a non-empty float table opened
     # on a line indented by ``pad``. json writes a finite float as
-    # float.__repr__, which depends only on its bits, so each distinct bit
-    # pattern is formatted once; keying by bits keeps 0.0 and -0.0 apart.
-    keys, inverse = np.unique(
-        np.ascontiguousarray(table, dtype=np.float64).view(np.uint64), return_inverse=True
-    )
-    text = np.array(list(map(float.__repr__, keys.view(np.float64).tolist())), dtype=object)
+    # float.__repr__, which depends only on its bits, and repr(-x) is
+    # "-" + repr(x) for every finite x, signed zeros included; so each
+    # distinct magnitude is formatted once (np.abs clears the sign bit, so
+    # magnitudes that compare equal have equal bits), and an entry whose sign
+    # bit is set takes it with a "-". A Hermitian receiver's imaginary table is
+    # antisymmetric, so this halves its formatting.
+    arr = np.ascontiguousarray(table, dtype=np.float64)
+    magnitudes, inverse = np.unique(np.abs(arr), return_inverse=True)
+    text = list(map(float.__repr__, magnitudes.tolist()))
+    signed = np.array(text + ["-" + t for t in text], dtype=object)
+    index = inverse.reshape(table.shape)
+    index[np.signbit(arr)] += len(text)
+    cells = signed[index]
     row_pad, cell_pad = pad + "  ", pad + "    "
     cell_sep = ",\n" + cell_pad
     body = (",\n" + row_pad).join(
-        "[\n" + cell_pad + cell_sep.join(row) + "\n" + row_pad + "]"
-        for row in text[inverse.reshape(table.shape)].tolist()
+        "[\n" + cell_pad + cell_sep.join(row) + "\n" + row_pad + "]" for row in cells.tolist()
     )
     return "[\n" + row_pad + body + "\n" + pad + "]"
 

@@ -112,7 +112,9 @@ def test_run_malformed_json_exit_two(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "raw", [b"\xff\xfe{}", b'{"seed": ' + b"9" * 5000 + b"}"], ids=["not-utf8", "huge-integer"]
+    "raw",
+    [b"\xff\xfe{}", b'{"seed": ' + b"9" * 5000 + b"}", b"[" * 100000 + b"]" * 100000],
+    ids=["not-utf8", "huge-integer", "deeply-nested"],
 )
 def test_run_unreadable_json_exit_two(raw, tmp_path, capsys):
     path = tmp_path / "bad.json"

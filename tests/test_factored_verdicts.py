@@ -181,6 +181,47 @@ def test_appending_maximally_mixed_blocks_keeps_the_verdict(theory, data, extra)
         assert abs(v.witness_value - w.witness_value) <= 1e-15, name
 
 
+@st.composite
+def repeated_blocks(draw):
+    """1-4 two-qubit blocks, one or two registers each, drawn with repeats
+    from a pool of up to three block objects."""
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+    # the window kind twice, so that repeated marginals often carry notes
+    kinds = ("window", "window", "isotropic", "classical_quantum", "pure", "mixed", "real", "faint")
+    kinds += ("random",)
+    pool = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind, spans = draw(st.sampled_from(kinds)), draw(st.sampled_from((1, 1, 2)))
+        if kind == "window" and spans == 1:  # in the entangled-but-local window
+            mat = isotropic(2, 0.34 + 0.07 * rng.random()).mat
+        else:
+            mat = _block(kind, 4**spans, spans == 1, rng)
+        pool.append((_hermitized(mat, (2, 2) * spans), spans))
+    # the first pick repeats the block of one of the others, when there are two
+    picks = [draw(st.integers(0, len(pool) - 1)) for _ in range(draw(st.integers(1, 4)))]
+    if len(picks) > 1:
+        picks[0] = picks[draw(st.integers(1, len(picks) - 1))]
+    return [pool[k] for k in picks]
+
+
+def _bits(judged: qrt.Verdicts):
+    verdicts, notes = judged
+    return notes, {
+        name: (v.is_free, v.decisive, np.float64(v.witness_value).tobytes())
+        for name, v in verdicts.items()
+    }
+
+
+@pytest.mark.parametrize("theory", sorted(qrt.THEORIES))
+@given(blocks=repeated_blocks())
+@settings(max_examples=25, deadline=None)
+def test_judges_on_repeated_blocks_match_distinct_copies(theory, blocks):
+    # a judge tests each block object once; copies are tested one by one
+    copies = [(DensityOperator(b.mat.copy(), b.dims), spans) for b, spans in blocks]
+    judge = qrt.THEORIES[theory].judge
+    assert _bits(judge(blocks)) == _bits(judge(copies))
+
+
 def test_one_factor_ppt_is_the_dense_per_cut_loop():
     rng = make_rng(7)
     for dims in ((2, 2), (2, 3), (2, 2, 2), (3, 2, 2)):

@@ -1,4 +1,5 @@
 import json
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -214,6 +215,44 @@ def test_report_json_str_is_json_dumps_byte_for_byte(case):
     report, seed = case
     want = json.dumps(report_to_json(report, seed), sort_keys=True, indent=2) + "\n"
     assert report_json_str(report, seed) == want
+
+
+# The writer formats each magnitude once and signs it by the sign bit; these
+# entries reach every form of it: signed zeros, subnormals (the smallest and
+# the largest), the smallest normal and the largest finite float.
+EDGES = (0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, sys.float_info.max)
+
+
+@st.composite
+def mirrored_reports(draw):
+    # one table up to 64 wide: a block beside its negation, [[T, -T], [-T, T]],
+    # with edge entries of either sign mixed into T
+    n = draw(st.integers(1, 32))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)))
+
+    def half():
+        edges = rng.choice(EDGES, (n, n)) * rng.choice((-1.0, 1.0), (n, n))
+        return np.where(rng.random((n, n)) < 0.5, edges, _table(rng, n))
+
+    t = half() + 1j * half()
+    mat = np.block([[t, -t], [-t, t]])
+    report = CensorshipReport(
+        blocks=((SimpleNamespace(mat=mat, dims=(2 * n,)), 1),),
+        verdicts={},
+        breach=False,
+        distances=None,
+        notes=(),
+        extras={},
+    )
+    return report, draw(st.one_of(st.none(), st.integers(0, 9)))
+
+
+@given(mirrored_reports())
+@settings(max_examples=60, deadline=None)
+def test_report_json_str_on_sign_mirrored_tables(case):
+    report, seed = case
+    assert np.signbit(report.blocks[0][0].mat.real).any()
+    _assert_json_dumps(report, seed)
 
 
 def _assert_json_dumps(report, seed=None):
