@@ -25,7 +25,7 @@ from . import linalg, qrt
 from .channels import Channel, ChannelSpec, GeneralLinearMap, dephasing_channel, replacement_channel
 from .linalg import DimSignature
 from .qrt import Description
-from .states import DensityOperator, density_stack, make_rng, maximally_mixed
+from .states import DensityOperator, density_stack, make_rng, maximally_mixed, random_real_densities
 
 # Widest receiver table a report renders; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
@@ -73,12 +73,6 @@ class ConditionalRDChannel:
         return len(self.branches)
 
 
-def _eigen_dephasing_branch(desc: Description) -> GeneralLinearMap:
-    # an imaginarity description keeps the basis its label was computed from
-    basis = desc.basis if desc.basis is not None else qrt.canonical_eigenbasis(desc.state.mat)
-    return dephasing_channel(basis, desc.state.dims)
-
-
 @cache
 def _default_branch(sig: DimSignature) -> GeneralLinearMap:
     """The reserved outcome's branch, replacing the system by I/d; one
@@ -92,27 +86,27 @@ def build_conditional_channel(
     """Assemble the conditional channel from registered descriptions.
 
     kind="replacement" works for every theory; kind="eigen_dephasing" only
-    for theories whose free states have free eigenvectors, the registry
-    entries with a free-state sampler (coherence, imaginarity). A separable
-    state can have entangled eigenvectors, so the eigenbasis dephasing is
-    rejected for entanglement (and likewise for discord and locality).
+    for descriptions that name the basis their branch dephases in
+    (coherence, imaginarity). A separable state can have entangled
+    eigenvectors, so entanglement descriptions name none, and neither do
+    discord and locality ones.
     """
-    entry = qrt.get_theory(theory)
+    qrt.get_theory(theory)  # an unknown theory raises first
     if kind not in ("replacement", "eigen_dephasing"):
         raise ValueError(f"unknown channel kind {kind!r}")
-    if kind == "eigen_dephasing" and entry.sample_free is None:
-        raise ValueError(
-            f"eigen_dephasing is not resource destroying for {theory}: free states of "
-            "this theory can have non-free eigenvectors (e.g. a separable state with "
-            "an entangled eigenvector), so the dephasing branch would let them "
-            "through; use kind='replacement'"
-        )
     descs = list(descriptions)
     if not descs:
         raise ValueError("need at least one description")
     for d in descs:
         if d.theory != theory:
             raise ValueError(f"description theory {d.theory!r} does not match {theory!r}")
+    if kind == "eigen_dephasing" and any(d.basis is None for d in descs):
+        raise ValueError(
+            f"eigen_dephasing is not resource destroying for {theory}: free states of "
+            "this theory can have non-free eigenvectors (e.g. a separable state with "
+            "an entangled eigenvector), so the dephasing branch would let them "
+            "through; use kind='replacement'"
+        )
     sig = descs[0].state.dims
     registered: dict[bytes, Description] = {}
     for d in descs:
@@ -131,7 +125,7 @@ def build_conditional_channel(
     if kind == "replacement":
         branches = [replacement_channel(d.state) for d in registered.values()]
     else:
-        branches = [_eigen_dephasing_branch(d) for d in registered.values()]
+        branches = [dephasing_channel(d.basis, d.state.dims) for d in registered.values()]
     return ConditionalRDChannel(
         theory=theory,
         kind=kind,
@@ -480,32 +474,23 @@ class NoiseComparison:
     d_censored: float
 
 
-def noise_comparison(
-    sigma: DensityOperator,
-    noise: Channel,
-    branch: Channel | None = None,
-    theory: str = "imaginarity",
-    samples: int = 25,
-    seed: int = 0,
-) -> NoiseComparison:
+def noise_comparison(sigma: DensityOperator, noise: Channel) -> NoiseComparison:
     """Compare link noise with and without the eigenbasis-dephasing correction.
 
-    Requires ``sigma`` free and the noise resource non-generating for the
-    theory (verified by sampling free states through the noise).
+    Requires ``sigma`` real and the noise not to generate imaginarity, which
+    is checked on 25 random real states (seed 0) sent through it. The
+    correcting branch dephases in sigma's own canonical eigenbasis.
     """
-    entry = qrt.get_theory(theory)
-    if entry.sample_free is None:
-        raise ValueError("noise comparison applies to eigenbasis-dephasing theories")
-    free_check = entry.free(sigma)
-    if not free_check.is_free:
-        raise ValueError(f"sigma is not free for {theory} (witness {free_check.witness_value:.3e})")
-    probes = entry.sample_free(sigma.dim, make_rng(seed), samples)
+    theory = qrt.THEORIES["imaginarity"]
+    verdict = theory.free(sigma)
+    if not verdict.is_free:
+        raise ValueError(f"sigma is not free for imaginarity (witness {verdict.witness_value:.3e})")
+    probes = random_real_densities(sigma.dim, sigma.dim, make_rng(0), 25)
     outs = density_stack(noise.apply_matrix(probes))
-    # the sampled theories are affine: free exactly when the witness is within TOL_DIAG
-    if (entry.excess(outs, sigma.dims) > qrt.TOL_DIAG).any():
+    # imaginarity is affine: free exactly when the witness is within TOL_DIAG
+    if (theory.excess(outs, sigma.dims) > qrt.TOL_DIAG).any():
         raise ValueError("noise channel generates the resource on free states")
-    if branch is None:  # sigma has no description: dephase in its own eigenbasis
-        branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), sigma.dims)
+    branch = dephasing_channel(qrt.canonical_eigenbasis(sigma.mat), sigma.dims)
     noisy = noise.apply_matrix(sigma.mat)
     censored = branch.apply_matrix(noisy)
     return NoiseComparison(

@@ -60,16 +60,6 @@ def _defect(arr: np.ndarray) -> float:
     return float(np.abs(arr - arr.conj().T).max())
 
 
-def hermiticity_defect(mat: np.ndarray) -> float:
-    """Max-entry distance between a matrix and its conjugate transpose."""
-    return _defect(_square(mat))
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two matrices."""
-    return np.kron(as_complex_matrix(a), as_complex_matrix(b))
-
-
 def kron_all(mats: Iterable[np.ndarray]) -> np.ndarray:
     """Kronecker product of a sequence of matrices, left to right."""
     out: np.ndarray | None = None
@@ -158,11 +148,6 @@ def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
     if _defect(arr) > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh((arr + arr.conj().T) / 2)[0])
-
-
-def is_positive_semidefinite(mat: np.ndarray, tol: float = TOL_PSD) -> bool:
-    """True iff the (Hermitian) matrix has minimum eigenvalue >= -tol."""
-    return min_eigenvalue(mat) >= -tol
 
 
 def von_neumann_entropy(rho: np.ndarray, tol: float = TOL_PSD) -> float:

@@ -1,13 +1,13 @@
 """Resource theories: free-state membership, discord, CHSH, free-state
 descriptions, receiver judges, and the registry of theories.
 
-Five concrete theories are registered in ``THEORIES``, and each entry holds
-everything the censorship engine knows about its theory. Coherence and
-imaginarity (realness) are affine, entanglement is convex, discord is
-nonconvex, and locality can be activated by combining free states. The
-discord measurement side is an explicit parameter: measuring side "X" (the
-first factor, the default) means the free set is the classical-quantum
-states, classical on X.
+Five concrete theories are registered in ``THEORIES``, and each entry, with
+the descriptions its encoder makes, holds everything the censorship engine
+knows about its theory. Coherence and imaginarity (realness) are affine,
+entanglement is convex, discord is nonconvex, and locality can be activated
+by combining free states. The discord measurement side is an explicit
+parameter: measuring side "X" (the first factor, the default) means the free
+set is the classical-quantum states, classical on X.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import linalg
 from .linalg import DimSignature
-from .states import DensityOperator, bell_phi_plus, density_stack, random_real_densities
+from .states import DensityOperator, bell_phi_plus
 
 TOL_DIAG = 1e-8
 TOL_PPT = 1e-9
@@ -391,8 +391,8 @@ def _prime_roots(n: int) -> np.ndarray:
 def canonical_eigenbasis(mat: np.ndarray) -> np.ndarray:
     """``linalg.hermitian_eig``'s eigenvectors with each degenerate eigenspace
     (eigenvalues within TOL_DIAG) in the phase-fixed eigenbasis of
-    diag(sqrt 2, sqrt 3, sqrt 5, ...) compressed onto it. Imaginarity labels
-    and eigen-dephasing branches both read it: a branch dephases in its label's basis."""
+    diag(sqrt 2, sqrt 3, sqrt 5, ...) compressed onto it. An imaginarity label
+    is computed from it, and the description keeps it for its branch."""
     w, vecs = linalg.hermitian_eig(mat)
     bounds = [0, *(np.flatnonzero(np.diff(w) < -TOL_DIAG) + 1).tolist(), w.size]
     for start, stop in zip(bounds, bounds[1:]):
@@ -417,8 +417,9 @@ class Description:
     payload: tuple
     label: bytes
     state: DensityOperator
-    # imaginarity: the read-only canonical eigenbasis of ``state`` that the
-    # label was computed from, and that the eigen-dephasing branch dephases in
+    # the read-only basis an eigen-dephasing branch dephases in, one in which
+    # every eigenvector of ``state`` is free; None where the theory has none
+    # (a separable state can have an entangled eigenvector)
     basis: np.ndarray | None = None
 
 
@@ -426,6 +427,14 @@ def _require_state(theory: str, sigma: DensityOperator | None) -> DensityOperato
     if sigma is None:
         raise ValueError(f"theory {theory!r} requires the state to describe")
     return sigma
+
+
+@functools.cache
+def _incoherent_basis(dim: int) -> np.ndarray:
+    """The read-only computational basis of width ``dim``."""
+    basis = np.eye(dim, dtype=complex)
+    basis.flags.writeable = False
+    return basis
 
 
 def _encode_coherence(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
@@ -439,7 +448,7 @@ def _encode_coherence(sigma: DensityOperator | None, ensemble: Sequence | None) 
     payload = _quantize(probs[:-1])
     label = f"coherence|probs|{_render(payload, ';')}".encode()
     canonical = DensityOperator(np.diag(probs).astype(complex), sigma.dims)
-    return Description("coherence", payload, label, canonical)
+    return Description("coherence", payload, label, canonical, _incoherent_basis(sigma.dim))
 
 
 def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
@@ -485,7 +494,7 @@ def _normalize_ensemble(
         total += max(w, 0.0)
     if not terms:
         raise ValueError("ensemble must contain at least one term")
-    if abs(total - 1.0) > 1e-8:
+    if not abs(total - 1.0) <= 1e-8:  # a NaN total fails too
         raise ValueError(f"ensemble weights sum to {total}, expected 1")
     expected = tuple(v.size for v in terms[0][1]) if dims is None else tuple(dims)
     for _, vecs in terms:
@@ -656,14 +665,6 @@ def _judge_locality(blocks: Sequence[Block]) -> Verdicts:
     return verdicts, tuple(notes)
 
 
-def _sample_diagonal(dim: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    probs = rng.random((count, dim))
-    probs /= probs.sum(axis=1, keepdims=True)
-    mats = np.zeros((count, dim, dim), dtype=complex)
-    mats[:, range(dim), range(dim)] = probs
-    return density_stack(mats)
-
-
 # ---------------------------------------------------------------- registry
 
 
@@ -671,28 +672,23 @@ def _sample_diagonal(dim: int, rng: np.random.Generator, count: int) -> np.ndarr
 class ResourceTheory:
     """Everything the censorship engine knows about one resource theory.
 
-    free         free-state test on a state
-    excess       (stack (..., d, d), register dims) -> how far each matrix lies
-                 outside the free set, the excess of its ``free`` witness; 0 on
-                 free states
-    encode       (state, ensemble) -> Description of a free state; raises
-                 ValueError on resource states
-    judge        blocks -> (verdicts, notes) of the receiver, the Kronecker
-                 product of the censored blocks, each given with the number
-                 of registers it spans; each block, or each register
-                 marginal, is judged on its own
-    sample_free  (dim, rng, count) -> validated stack (count, dim, dim) of random
-                 free states; present exactly for the theories that
-                 eigenbasis dephasing censors
+    free    free-state test on a state
+    excess  (stack (..., d, d), register dims) -> how far each matrix lies
+            outside the free set, the excess of its ``free`` witness; 0 on
+            free states
+    encode  (state, ensemble) -> Description of a free state; raises
+            ValueError on resource states. The description's ``basis`` decides
+            whether an eigen-dephasing branch can censor it.
+    judge   blocks -> (verdicts, notes) of the receiver, the Kronecker
+            product of the censored blocks, each given with the number of
+            registers it spans; each block, or each register marginal, is
+            judged on its own
     """
 
-    name: str
-    structure: str  # affine | convex | nonconvex | activatable
     free: Callable[[DensityOperator], ResourceVerdict]
     excess: Callable[[np.ndarray, DimSignature], np.ndarray]
     encode: Callable[[DensityOperator | None, Sequence | None], Description]
     judge: Callable[[Sequence[Block]], Verdicts]
-    sample_free: Callable[[int, np.random.Generator, int], np.ndarray] | None = None
 
 
 # The lambdas look functions up by their module names at call time, so a
@@ -700,42 +696,30 @@ class ResourceTheory:
 # made through the registry.
 THEORIES = {
     "coherence": ResourceTheory(
-        "coherence",
-        "affine",
         free=is_free_coherence,
         excess=lambda mats, dims: _off_diagonal(mats),
         encode=_encode_coherence,
         judge=_judge_affine("coherence"),
-        sample_free=_sample_diagonal,
     ),
     "imaginarity": ResourceTheory(
-        "imaginarity",
-        "affine",
         free=is_free_imaginarity,
         excess=lambda mats, dims: _max_imaginary(mats),
         encode=_encode_imaginarity,
         judge=_judge_affine("imaginarity"),
-        sample_free=lambda dim, rng, count: random_real_densities(dim, dim, rng, count),
     ),
     "entanglement": ResourceTheory(
-        "entanglement",
-        "convex",
         free=lambda rho: ppt_all_cuts(rho),
         excess=_ppt_excess,
         encode=_encode_entanglement,
         judge=lambda blocks: ({"entanglement": _ppt_blocks(blocks)}, ()),
     ),
     "discord": ResourceTheory(
-        "discord",
-        "nonconvex",
         free=lambda rho: is_classical_quantum(rho),
         excess=_commutator_witness,
         encode=_encode_discord,
         judge=_judge_discord,
     ),
     "locality": ResourceTheory(
-        "locality",
-        "activatable",
         free=is_free_locality,
         excess=lambda mats, dims: np.maximum(0.0, _chsh(mats) - 1.0),
         encode=_encode_locality,

@@ -108,7 +108,10 @@ def ensemble_from_json(obj: Any) -> list:
         factors = tuple(
             _amplitudes_from_json(f, f"ensemble term {pos}") for f in term["factors"]
         )
-        terms.append((_number(term["weight"], float, f"ensemble term {pos} weight"), factors))
+        weight = _number(term["weight"], float, f"ensemble term {pos} weight")
+        if not np.isfinite(weight):
+            raise ScenarioError(f"ensemble term {pos} weight must be finite")
+        terms.append((weight, factors))
     return terms
 
 

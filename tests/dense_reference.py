@@ -720,8 +720,8 @@ def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]
         "locality": [Claim(isotropic(2, 5 / 12))],
     }
     for theory, theory_claims in claims.items():
-        kind = "replacement" if qrt.THEORIES[theory].sample_free is None else "eigen_dephasing"
         descs = [encode_description(theory, c.state, c.ensemble) for c in theory_claims]
+        kind = "replacement" if descs[0].basis is None else "eigen_dephasing"
         ch = build_conditional_channel(theory, kind, descs)
         for branch in ch.branches:
             probe = reference_random_density(branch.in_dim, branch.in_dim, rng)
@@ -739,7 +739,7 @@ def reference_channel_axioms(samples: int, seed: int) -> tuple[bool, dict, list]
         for desc, branch in zip(ch.descriptions, ch.branches):
             out = branch.apply_matrix(desc.state.mat)
             fixed_defect = max(fixed_defect, float(np.abs(out - desc.state.mat).max()))
-        record(f"condition_v_{theory}", free_defect, 1e-9 if theory == "locality" else 1e-8)
+        record(f"condition_v_{theory}", free_defect, 1e-9)
         record(f"condition_vi_{theory}", fixed_defect, 1e-9)
     return passed, defects, failures
 

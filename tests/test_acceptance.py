@@ -260,7 +260,7 @@ def test_criterion_08_noncp_certificate():
         f"linearity defect {linearity:.2e}, bare transpose minimum {transpose_min:.6f}",
     )
     assert sample_ok
-    assert not linalg.is_positive_semidefinite(c)
+    assert linalg.min_eigenvalue(c) < -1e-9
     assert linearity <= 1e-12
     assert abs(certificate - (-0.5)) <= 1e-9
     assert pinned, f"Choi minimum eigenvalue {min_eig:.6f} != -1/2"

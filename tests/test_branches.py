@@ -82,6 +82,17 @@ def test_replacement_transfer_drops_eigenvalues_under_the_cut():
         assert _bits(replacement_channel(state).transfer, kraus_replacement(state).transfer)
 
 
+def _spectrum(kind: str, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Unnormalized eigenvalues with no repeats, one repeated pair, two repeated
+    pairs (on four or more levels) or all equal."""
+    return {
+        "distinct": rng.random(dim) + np.arange(dim),
+        "pair": np.r_[1.0, 1.0, rng.random(dim - 2) + 2.0],
+        "two_pairs": np.r_[1.0, 1.0, 2.0, 2.0, rng.random(max(dim - 4, 0)) + 3.0][:dim],
+        "flat": np.ones(dim),
+    }[kind]
+
+
 @given(
     st.integers(0, 2**32 - 1),
     REGISTERS,
@@ -91,12 +102,7 @@ def test_replacement_transfer_drops_eigenvalues_under_the_cut():
 def test_dephasing_transfer_is_the_kraus_transfer_on_degenerate_spectra(seed, dims, spectrum):
     dim = int(np.prod(dims))
     rng = make_rng(seed)
-    weights = {
-        "distinct": rng.random(dim) + np.arange(dim),
-        "pair": np.r_[1.0, 1.0, rng.random(dim - 2) + 2.0],
-        "two_pairs": np.r_[1.0, 1.0, 2.0, 2.0][:dim],
-        "flat": np.ones(dim),
-    }[spectrum]
+    weights = _spectrum(spectrum, dim, rng)
     u = _orthogonal(dim, rng)
     sigma = DensityOperator((u * (weights / weights.sum())) @ u.T, dims)
     desc = encode_description("imaginarity", sigma)
@@ -108,6 +114,28 @@ def test_dephasing_transfer_is_the_kraus_transfer_on_degenerate_spectra(seed, di
     assert _bits(ch.branches[0].transfer, reference)
     default = kraus_replacement(maximally_mixed(dims), in_dims=dims).transfer
     assert _bits(ch.branches[-1].transfer, default)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([(2,), (3,), (2, 2), (2, 3)]),
+    st.sampled_from(["distinct", "pair", "two_pairs", "flat"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_coherence_branch_is_the_eigenbasis_transfer_on_degenerate_spectra(seed, dims, spectrum):
+    # a coherence branch dephases in the incoherent basis, and its transfer is,
+    # bit for bit, that of the dephasing in the state's canonical eigenbasis
+    dim = int(np.prod(dims))
+    rng = make_rng(seed)
+    weights = _spectrum(spectrum, dim, rng)
+    sigma = DensityOperator(np.diag(rng.permutation(weights / weights.sum())).astype(complex), dims)
+    desc = encode_description("coherence", sigma)
+    assert _bits(desc.basis, np.eye(dim, dtype=complex)) and not desc.basis.flags.writeable
+    ch = build_conditional_channel("coherence", "eigen_dephasing", [desc])
+    basis = qrt.canonical_eigenbasis(desc.state.mat)
+    assert _bits(ch.branches[0].transfer, dephasing_channel(basis, dims=dims).transfer)
+    assert _bits(ch.branches[0].transfer, kraus_dephasing(basis, dims=dims).transfer)
+    assert _bits(ch.branches[0].transfer, kraus_dephasing(desc.basis, dims=dims).transfer)
 
 
 def _diagonal_state(dims, rng) -> DensityOperator:
@@ -195,11 +223,13 @@ def _check_certificate(channels, rng: np.random.Generator) -> None:
         assert np.abs(ch.effects.sum(axis=0) - np.eye(ch.in_dim)).max() <= TOL_TP
 
 
+# the theories whose descriptions name a basis for an eigen-dephasing branch
+EIGEN_DEPHASED = ("coherence", "imaginarity")
 THEORY_KINDS = [
     (theory, kind)
-    for theory, entry in sorted(qrt.THEORIES.items())
+    for theory in sorted(qrt.THEORIES)
     for kind in ("replacement", "eigen_dephasing")
-    if kind == "replacement" or entry.sample_free is not None
+    if kind == "replacement" or theory in EIGEN_DEPHASED
 ]
 
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,8 @@ def test_encode_entanglement_rejects_nan_amplitudes_and_empty_terms():
         encode_description("entanglement", ensemble=[(1.0, (np.array([np.nan, 0.0]), MINUS))])
     with pytest.raises(ValueError, match="no factors"):
         encode_description("entanglement", ensemble=[(1.0, ())])
+    with pytest.raises(ValueError, match="weights sum to nan"):
+        encode_description("entanglement", ensemble=[(math.nan, (PLUS, MINUS))])
 
 
 def test_encode_entanglement_requires_ensemble():
@@ -239,14 +243,14 @@ def test_registry_entry_contract(name):
     assert linalg.hs_distance(report.render_receiver()[0], desc.state.mat) < 1e-12
     assert not report.breach
 
-    if entry.sample_free is None:
+    # the description's basis alone decides whether eigen-dephasing censors it
+    assert (desc.basis is not None) == (name in ("coherence", "imaginarity"))
+    if desc.basis is None:
         with pytest.raises(ValueError, match="not resource destroying"):
             build_conditional_channel(name, "eigen_dephasing", [desc])
     else:
+        assert not desc.basis.flags.writeable
         assert build_conditional_channel(name, "eigen_dephasing", [desc]).kind == "eigen_dephasing"
-        probes = entry.sample_free(3, make_rng(0), 2)
-        assert probes.shape == (2, 3, 3) and not probes.flags.writeable
-        assert all(entry.free(DensityOperator(p, (3,))).is_free for p in probes)
 
 
 def test_unknown_kind_rejected():

@@ -232,7 +232,7 @@ def test_choi_transpose_is_swap():
     assert np.abs(c.mat - swap).max() < 1e-12
     w = np.sort(np.linalg.eigvalsh(c.mat))
     assert np.abs(w - np.array([-1.0, 1.0, 1.0, 1.0])).max() < 1e-12
-    assert not linalg.is_positive_semidefinite(c.mat, tol=1e-9)
+    assert linalg.min_eigenvalue(c.mat) < -1e-9
 
 
 def test_choi_dephasing_positive():

@@ -20,7 +20,7 @@ from qcensor.censorship import MAX_RECEIVER_DIM
 from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, build_parser, main
 from qcensor.demos import DEMOS
 from qcensor.serialize import matrix_to_json
-from qcensor.states import bell_phi_plus, from_pure, isotropic, random_real_density
+from qcensor.states import bell_phi_plus, from_pure, isotropic, maximally_mixed, random_real_density
 from qcensor.suites import SUITE_NAMES
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
@@ -555,8 +555,12 @@ def test_malformed_scenario_exits_two_without_traceback(scenario, detail, tmp_pa
     assert "non-free" not in err  # a malformed description is not a resource state
 
 
-def _ensemble_term(factors):
-    return _with(_entanglement_honest(), senders__0__ensemble=[{"weight": 1.0, "factors": factors}])
+def _ensemble_term(factors, weight=1.0):
+    term = {"weight": weight, "factors": factors}
+    return _with(_entanglement_honest(), senders__0__ensemble=[term])
+
+
+_PRODUCT_FACTORS = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
 
 
 @pytest.mark.parametrize(
@@ -565,8 +569,10 @@ def _ensemble_term(factors):
         (_ensemble_term([]), "'factors' must be a non-empty list"),
         (_ensemble_term([[[1, 0, 9], [0, 0]], [[0, 0], [1, 0]]]), "list of [re, im] pairs"),
         (_ensemble_term([[[math.nan, 0], [0, 0]], [[0, 0], [1, 0]]]), "amplitudes must be finite"),
+        (_ensemble_term(_PRODUCT_FACTORS, math.nan), "weight must be finite"),
+        (_ensemble_term(_PRODUCT_FACTORS, math.inf), "weight must be finite"),
     ],
-    ids=["no-factors", "long-amplitude-pair", "nan-amplitude"],
+    ids=["no-factors", "long-amplitude-pair", "nan-amplitude", "nan-weight", "inf-weight"],
 )
 def test_malformed_ensemble_exits_two_on_one_line(scenario, message, tmp_path, capsys):
     path = _write(tmp_path, scenario)
@@ -575,6 +581,25 @@ def test_malformed_ensemble_exits_two_on_one_line(scenario, message, tmp_path, c
     assert code == EXIT_USAGE
     assert err.startswith("invalid scenario: ensemble term 0") and message in err
     assert err.count("\n") == 1 and "Warning" not in err
+
+
+@pytest.mark.parametrize("theory", ["entanglement", "discord", "locality"])
+def test_eigen_dephasing_exits_two_where_descriptions_name_no_basis(theory, tmp_path, capsys):
+    scenario = {
+        "entanglement": _entanglement_honest(),
+        "discord": _with(
+            _locality_senders(1),
+            theory="discord",
+            senders__0__state=state_json(maximally_mixed((2, 2))),
+        ),
+        "locality": _locality_senders(1),
+    }[theory]
+    path = _write(tmp_path, _with(scenario, channel_kind="eigen_dephasing"))
+    code = main(["run", "--scenario", str(path)])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"invalid scenario: eigen_dephasing is not resource destroying for {theory}:")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def _run_quietly(scenario, tmp_path) -> tuple[int, str, list]:

@@ -27,14 +27,14 @@ def _rand_hermitian(rng, d):
 
 
 def test_kron_identity():
-    out = linalg.kron(np.eye(2), np.eye(2))
+    out = linalg.kron_all([np.eye(2), np.eye(2)])
     assert np.array_equal(out, np.eye(4))
 
 
 def test_kron_basis_projectors():
     p0 = np.diag([1.0, 0.0])
     p1 = np.diag([0.0, 1.0])
-    assert np.array_equal(linalg.kron(p0, p1), np.diag([0.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(linalg.kron_all([p0, p1]), np.diag([0.0, 1.0, 0.0, 0.0]))
 
 
 @given(st.integers(0, 10_000))
@@ -43,15 +43,15 @@ def test_kron_mixed_product_rule(seed):
     # (A x B)(C x D) = AC x BD, checked against direct multiplication
     rng = np.random.default_rng(seed)
     a, b, c, d = (_rand_matrix(rng, 2) for _ in range(4))
-    lhs = linalg.kron(a, b) @ linalg.kron(c, d)
-    rhs = linalg.kron(a @ c, b @ d)
+    lhs = linalg.kron_all([a, b]) @ linalg.kron_all([c, d])
+    rhs = linalg.kron_all([a @ c, b @ d])
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
 def test_kron_rejects_nonfinite():
     bad = np.array([[np.nan, 0.0], [0.0, 1.0]])
     with pytest.raises(ValueError):
-        linalg.kron(bad, np.eye(2))
+        linalg.kron_all([bad, np.eye(2)])
 
 
 # ---------------------------------------------------------- partial trace
@@ -291,19 +291,20 @@ def test_hs_distance_shape_mismatch():
 
 
 # ---------------------------------------------------------------- psd
+# A matrix is positive semidefinite when its smallest eigenvalue is >= -TOL_PSD.
 
 
 def test_psd_identity():
-    assert linalg.is_positive_semidefinite(np.eye(3))
+    assert linalg.min_eigenvalue(np.eye(3)) >= -linalg.TOL_PSD
 
 
 def test_psd_explicit_negative_eigenvalue():
-    assert not linalg.is_positive_semidefinite(np.diag([1.0, -0.01]), tol=1e-9)
+    assert linalg.min_eigenvalue(np.diag([1.0, -0.01])) < -1e-9
 
 
 def test_psd_requires_hermitian():
     with pytest.raises(ValueError):
-        linalg.is_positive_semidefinite(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        linalg.min_eigenvalue(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_signature_validation():

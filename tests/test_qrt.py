@@ -1,5 +1,7 @@
+import ast
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,6 @@ from qcensor import linalg, qrt
 from qcensor.channels import apply, dephasing_channel, imaginarity_rd_map
 from qcensor.qrt import (
     DiscordOptions,
-    THEORIES,
     chsh_parameter,
     discord,
     get_theory,
@@ -44,17 +45,37 @@ def _mixture_state():
     )
 
 
-# ------------------------------------------------------- structure labels
+# ---------------------------------------------------------------- registry
 
 
-def test_theory_structures():
-    assert THEORIES["coherence"].structure == "affine"
-    assert THEORIES["imaginarity"].structure == "affine"
-    assert THEORIES["entanglement"].structure == "convex"
-    assert THEORIES["discord"].structure == "nonconvex"
-    assert THEORIES["locality"].structure == "activatable"
-    with pytest.raises(ValueError):
+def test_unknown_theory_rejected():
+    with pytest.raises(ValueError, match="unknown theory 'athermality'"):
         get_theory("athermality")
+
+
+def _theory_name_comparisons(source: str) -> list[int]:
+    """Lines of ``source`` that compare a value against a theory name, as an
+    operand or as an item of a literal tuple, list or set operand."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Compare):
+            continue
+        for operand in (node.left, *node.comparators):
+            items = operand.elts if isinstance(operand, (ast.Tuple, ast.List, ast.Set)) else [operand]
+            if any(isinstance(x, ast.Constant) and x.value in qrt.THEORIES for x in items):
+                lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("module", ["censorship", "suites", "cli"])
+def test_engine_modules_never_compare_against_a_theory_name(module):
+    """What a theory decides lives in its registry entry and in its
+    descriptions (an eigen-dephasing branch dephases in ``Description.basis``),
+    so the engine, the suites and the command line never compare a value
+    against a theory name. ``serialize`` is not scanned: ``report_pretty``
+    prints the discord witness in bits too, which is presentation only."""
+    path = Path(qrt.__file__).with_name(f"{module}.py")
+    assert _theory_name_comparisons(path.read_text()) == []
 
 
 # --------------------------------------------------------------- coherence

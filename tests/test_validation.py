@@ -269,12 +269,7 @@ def test_density_operator_coerces_once_and_factors_once(calls):
 
 @pytest.mark.parametrize(
     "entry",
-    [
-        linalg.hermiticity_defect,
-        linalg.min_eigenvalue,
-        linalg.hermitian_eig,
-        linalg.von_neumann_entropy,
-    ],
+    [linalg.min_eigenvalue, linalg.hermitian_eig, linalg.von_neumann_entropy],
     ids=lambda f: f.__name__,
 )
 def test_each_linalg_entry_coerces_once(entry, calls):
