@@ -29,6 +29,9 @@ from .states import DensityOperator, density_stack, make_rng, maximally_mixed, r
 
 # Widest receiver table a report renders; wider scenarios exit 2 up front.
 MAX_RECEIVER_DIM = 1024
+# Most bytes the m branch transfers of a conditional channel may take, each
+# d^2 x d^2 complex on d-wide registers; wider channels are refused unbuilt.
+MAX_TRANSFER_BYTES = 2**26
 
 
 class ScenarioError(ValueError):
@@ -122,6 +125,13 @@ def build_conditional_channel(
                 "label collision: two distinct states map to the same description "
                 "label, which a replacement branch cannot serve"
             )
+    m, dim = len(registered) + 1, descs[0].state.dim
+    nbytes = 16 * m * dim**4
+    if nbytes > MAX_TRANSFER_BYTES:
+        raise ValueError(
+            f"the {m} branch transfers on registers of dimension {dim} would take "
+            f"{nbytes} bytes; the limit is {MAX_TRANSFER_BYTES}"
+        )
     if kind == "replacement":
         branches = [replacement_channel(d.state) for d in registered.values()]
     else:

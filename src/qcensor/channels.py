@@ -124,16 +124,15 @@ class GeneralLinearMap:
         object.__setattr__(self, "out_dim", d_out)
 
     @classmethod
-    def from_function(cls, fn, in_dim: int, out_dim: int | None = None) -> "GeneralLinearMap":
+    def from_function(cls, fn, in_dim: int) -> "GeneralLinearMap":
         """Build the transfer matrix by acting on the matrix-unit basis."""
-        d_out = in_dim if out_dim is None else out_dim
         cols = []
         for i in range(in_dim):
             for j in range(in_dim):
                 unit = np.zeros((in_dim, in_dim), dtype=complex)
                 unit[i, j] = 1.0
                 cols.append(np.asarray(fn(unit), dtype=complex).reshape(-1))
-        return cls(np.column_stack(cols), (in_dim,), (d_out,))
+        return cls(np.column_stack(cols), (in_dim,), (in_dim,))
 
     def apply_matrix(self, mat: np.ndarray) -> np.ndarray:
         return _act(self.transfer, self.in_dim, self.out_dim, mat)
@@ -327,9 +326,9 @@ def choi(ch: Channel) -> ChoiMatrix:
     return ChoiMatrix(t.transpose(0, 2, 1, 3).reshape(d_out * d_in, d_out * d_in), d_in, d_out)
 
 
-def is_completely_positive(ch: Channel, tol: float = linalg.TOL_PSD) -> bool:
-    """True iff the Choi matrix is positive semidefinite within tol."""
-    return linalg.min_eigenvalue(choi(ch).mat) >= -tol
+def is_completely_positive(ch: Channel) -> bool:
+    """True iff the Choi matrix is positive semidefinite within TOL_PSD."""
+    return linalg.min_eigenvalue(choi(ch).mat) >= -linalg.TOL_PSD
 
 
 @dataclass(frozen=True)
@@ -376,7 +375,7 @@ class ChannelSpec:
         raise ValueError(f"unknown channel kind {self.kind!r}; known: {CHANNEL_KINDS}")
 
 
-def is_entanglement_breaking(ch: Channel, tol: float = linalg.TOL_PSD) -> EbVerdict:
+def is_entanglement_breaking(ch: Channel) -> EbVerdict:
     """Entanglement-breaking test.
 
     Holevo pairs, or a rank-one Kraus decomposition, decide positively in any
@@ -394,7 +393,7 @@ def is_entanglement_breaking(ch: Channel, tol: float = linalg.TOL_PSD) -> EbVerd
         return EbVerdict(True, True)
     c = choi(ch)
     pt = linalg.partial_transpose(c.mat, (c.out_dim, c.in_dim), 1)
-    ppt = linalg.min_eigenvalue(pt) >= -tol
+    ppt = linalg.min_eigenvalue(pt) >= -linalg.TOL_PSD
     if not ppt:
         return EbVerdict(False, True)
     return EbVerdict(True, sorted((c.out_dim, c.in_dim)) in ([2, 2], [2, 3]))

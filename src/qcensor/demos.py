@@ -23,8 +23,6 @@ from .censorship import (
 from .channels import ChannelSpec, amplitude_damping, dephasing_channel
 from .states import DensityOperator, bell_phi_plus, from_pure, isotropic, tensor
 
-DEMO_SEED = 2024
-
 
 def bell_filter_demo() -> CensorshipReport:
     """Replacement censorship of a Bell state claimed as |+-><+-|.
@@ -43,7 +41,6 @@ def bell_filter_demo() -> CensorshipReport:
         strategies=[
             SenderStrategy("untruthful", state=bell_phi_plus(2), claimed=Claim(ensemble=ensemble))
         ],
-        seed=DEMO_SEED,
     )
     report = run_protocol(untruthful)
 
@@ -51,7 +48,6 @@ def bell_filter_demo() -> CensorshipReport:
         theory="entanglement",
         channel_kind="replacement",
         strategies=[SenderStrategy("honest", ensemble=ensemble)],
-        seed=DEMO_SEED,
     )
     honest_report = run_protocol(honest)
 
@@ -129,7 +125,6 @@ def discord_breach_demo(
         theory="discord",
         channel_kind="replacement",
         strategies=[strategy],
-        seed=DEMO_SEED,
     )
     report = run_protocol(scenario)
     report.extras.update(
@@ -145,19 +140,19 @@ def discord_breach_demo(
     return report
 
 
-def nonlocal_activation_demo(n_senders: int = 2, p: float = 5 / 12) -> CensorshipReport:
-    """Honest senders of the entangled-but-local isotropic state.
+def nonlocal_activation_demo(n_senders: int = 2) -> CensorshipReport:
+    """Honest senders of the entangled-but-local isotropic state (p = 5/12).
 
     Each marginal passes censorship unchanged, stays below the CHSH
     violation bound, yet sits in the window where enough copies jointly
     become nonlocal, so the product state escapes local certification.
     """
+    p = 5 / 12
     sigma = isotropic(2, p)
     scenario = NetworkScenario(
         theory="locality",
         channel_kind="replacement",
         strategies=[SenderStrategy("honest", state=sigma) for _ in range(n_senders)],
-        seed=DEMO_SEED,
     )
     report = run_protocol(scenario)
     lower, upper = qrt.isotropic_local_range(2)
@@ -174,7 +169,7 @@ def nonlocal_activation_demo(n_senders: int = 2, p: float = 5 / 12) -> Censorshi
     return report
 
 
-def noise_correction_demo(gammas: tuple[float, ...] = (0.1, 0.5, 0.9)) -> CensorshipReport:
+def noise_correction_demo() -> CensorshipReport:
     """Amplitude-damping links with eigenbasis-dephasing censorship.
 
     Records the distances to the intended state with and without the
@@ -187,11 +182,10 @@ def noise_correction_demo(gammas: tuple[float, ...] = (0.1, 0.5, 0.9)) -> Censor
         channel_kind="eigen_dephasing",
         strategies=[SenderStrategy("honest", state=sigma)],
         noise=ChannelSpec("amplitude_damping", {"gamma": 0.5}),
-        seed=DEMO_SEED,
     )
     report = run_protocol(scenario)
     sweeps = {}
-    for gamma in gammas:
+    for gamma in (0.1, 0.5, 0.9):
         comparison = noise_comparison(sigma, amplitude_damping(gamma))
         sweeps[f"gamma_{gamma}"] = {
             "d_noisy": comparison.d_noisy,

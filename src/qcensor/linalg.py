@@ -125,7 +125,7 @@ def _canonicalize_column(vecs: np.ndarray) -> np.ndarray:
     return vecs * (vecs[at].conjugate() / mags[at])
 
 
-def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, np.ndarray]:
+def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix with a deterministic basis.
 
     Returns eigenvalues sorted descending and orthonormal eigenvector columns,
@@ -135,22 +135,22 @@ def hermitian_eig(mat: np.ndarray, tol: float = TOL_HERM) -> tuple[np.ndarray, n
     """
     arr = _square(mat)
     defect = _defect(arr)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian within {tol} (defect {defect:.3e})")
+    if defect > TOL_HERM:
+        raise ValueError(f"matrix is not Hermitian within {TOL_HERM} (defect {defect:.3e})")
     w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
     order = np.argsort(-w, kind="stable")
     return w[order], _canonicalize_column(v[:, order])
 
 
-def min_eigenvalue(mat: np.ndarray, tol: float = TOL_HERM) -> float:
+def min_eigenvalue(mat: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     arr = _square(mat)
-    if _defect(arr) > tol:
+    if _defect(arr) > TOL_HERM:
         raise ValueError("matrix is not Hermitian within tolerance")
     return float(np.linalg.eigvalsh((arr + arr.conj().T) / 2)[0])
 
 
-def von_neumann_entropy(rho: np.ndarray, tol: float = TOL_PSD) -> float:
+def von_neumann_entropy(rho: np.ndarray) -> float:
     """Von Neumann entropy in nats, with the 0*log(0) = 0 convention.
 
     The input must be a valid density operator (Hermitian, PSD and unit
@@ -160,7 +160,7 @@ def von_neumann_entropy(rho: np.ndarray, tol: float = TOL_PSD) -> float:
     if _defect(arr) > TOL_HERM:
         raise ValueError("not a density operator: not Hermitian")
     w = np.linalg.eigvalsh((arr + arr.conj().T) / 2)
-    if w.min() < -tol:
+    if w.min() < -TOL_PSD:
         raise ValueError(f"not a density operator: minimum eigenvalue {w.min():.3e}")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValueError(f"not a density operator: trace {w.sum():.12f}")

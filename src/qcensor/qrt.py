@@ -76,21 +76,19 @@ def _max_imaginary(mats: np.ndarray) -> np.ndarray:
     return np.abs(mats.imag).max(axis=(-2, -1))
 
 
-def is_free_coherence(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
+def is_free_coherence(rho: DensityOperator) -> ResourceVerdict:
     """Free iff diagonal in the fixed incoherent (computational) basis."""
     witness = float(_off_diagonal(rho.mat))
-    return ResourceVerdict(witness <= tol, witness)
+    return ResourceVerdict(witness <= TOL_DIAG, witness)
 
 
-def is_free_imaginarity(rho: DensityOperator, tol: float = TOL_DIAG) -> ResourceVerdict:
+def is_free_imaginarity(rho: DensityOperator) -> ResourceVerdict:
     """Free iff all entries are real in the fixed reference basis."""
     witness = float(_max_imaginary(rho.mat))
-    return ResourceVerdict(witness <= tol, witness)
+    return ResourceVerdict(witness <= TOL_DIAG, witness)
 
 
-def is_free_entanglement(
-    rho: DensityOperator, cut: Sequence[int] = (0,), tol: float = TOL_PPT
-) -> ResourceVerdict:
+def is_free_entanglement(rho: DensityOperator, cut: Sequence[int] = (0,)) -> ResourceVerdict:
     """PPT test across a bipartition given as the factor indices of one side.
 
     The witness is the minimum eigenvalue of the partial transpose. The
@@ -105,7 +103,7 @@ def is_free_entanglement(
     pt = linalg.partial_transpose(rho.mat, rho.dims, side)
     witness = linalg.min_eigenvalue(pt)
     d_side = math.prod(rho.dims[k] for k in side)
-    ppt = witness >= -tol
+    ppt = witness >= -TOL_PPT
     decisive = (not ppt) or sorted((d_side, rho.dim // d_side)) in ([2, 2], [2, 3])
     return ResourceVerdict(ppt, witness, decisive)
 
@@ -124,7 +122,7 @@ def _cuts(n: int) -> list[tuple[int, ...]]:
     ]
 
 
-def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
+def ppt_all_cuts(rho: DensityOperator) -> ResourceVerdict:
     """PPT across every nontrivial bipartition of a state's factors.
 
     The first cut that fails decides; otherwise the state is free, decisive
@@ -132,7 +130,7 @@ def ppt_all_cuts(rho: DensityOperator, tol: float = TOL_PPT) -> ResourceVerdict:
     """
     verdicts = []
     for side in _cuts(len(rho.dims)):
-        verdicts.append(is_free_entanglement(rho, side, tol))
+        verdicts.append(is_free_entanglement(rho, side))
         if not verdicts[-1].is_free:
             return verdicts[-1]
     return _worst(verdicts, min)
@@ -281,9 +279,7 @@ def discord(
     return max(float(s_measured - s_joint + best), 0.0)
 
 
-def is_classical_quantum(
-    rho: DensityOperator, classical_side: int = 0, tol: float = TOL_CQ
-) -> ResourceVerdict:
+def is_classical_quantum(rho: DensityOperator, classical_side: int = 0) -> ResourceVerdict:
     """Zero-discord membership: is there a basis on ``classical_side`` that
     block-diagonalizes the state?
 
@@ -299,7 +295,7 @@ def is_classical_quantum(
     if max(rho.dims) > 4:
         raise ValueError(f"unsupported dims {rho.dims}: at most 4 per side")
     witness = float(_commutator_witness(rho.mat, rho.dims, classical_side))
-    return ResourceVerdict(witness <= tol, witness)
+    return ResourceVerdict(witness <= TOL_CQ, witness)
 
 
 def _commutator_witness(

@@ -46,13 +46,6 @@ from .states import (
     random_real_density,
 )
 
-SUITE_NAMES = (
-    "affine_unbreakable",
-    "convex_unbreakable",
-    "discord_breach",
-    "activation",
-    "channel_axioms",
-)
 # suites that replay one fixed scenario, using neither the sample count nor the seed
 FIXED_SUITES = frozenset({"activation"})
 # The states a sampled suite draws for one chunk of samples take at most this
@@ -91,14 +84,11 @@ class SuiteResult:
                 self.failures.append(msg)
 
 
-def random_separable_ensemble(rng: np.random.Generator, n_terms: int = 2, n_factors: int = 2):
-    """Random mixture of pure two-level product states."""
-    weights = -np.log1p(-rng.random(n_terms))
+def random_separable_ensemble(rng: np.random.Generator):
+    """Random mixture of two pure two-qubit product states."""
+    weights = -np.log1p(-rng.random(2))
     weights /= weights.sum()
-    return [
-        (float(w), tuple(random_pure_vector(2, rng) for _ in range(n_factors)))
-        for w in weights
-    ]
+    return [(float(w), (random_pure_vector(2, rng), random_pure_vector(2, rng))) for w in weights]
 
 
 def _censored_samples(
@@ -115,40 +105,36 @@ def _censored_samples(
     order: ``describe`` draws and encodes the two claims, their conditional
     channel is built, and the uniforms of a Ginibre joint over two
     message+system pairs, as wide as that channel needs, are drawn. The
-    joints of one chunk and one width are then built, checked and censored
-    as one stack; ``judge`` turns the channels, joints and receivers into one
-    defect array per bound, and the samples record their defects in
-    sampling order, as each would alone.
+    joints of one chunk, which all have one width, are then built, checked
+    and censored as one stack; ``judge`` turns the channels, joints and
+    receivers into one defect array per bound, and the samples record their
+    defects in sampling order, as each would alone.
     """
 
-    def censor(chunk: list[tuple[int, ConditionalRDChannel, np.ndarray]]) -> None:
-        defects = np.empty((len(chunk), len(bounds)))
-        for dim in dict.fromkeys(dim for dim, _, _ in chunk):
-            idx = [k for k, item in enumerate(chunk) if item[0] == dim]
-            chs = [chunk[k][1] for k in idx]
-            draws = np.concatenate([chunk[k][2] for k in idx])
-            joints = density_stack(_ginibre_states(draws, dim, dim, real=False))
-            transfers = np.stack([_stacked_transfer(ch) for ch in chs])
-            receivers = density_stack(_censor_joint(transfers, joints, 2, chs[0].system_dims))
-            defects[idx] = np.column_stack(judge(chs, joints, receivers))
-        result.record_samples(bounds, defects)
+    def censor(dim: int, chunk: list[tuple[ConditionalRDChannel, np.ndarray]]) -> None:
+        chs, draws = zip(*chunk)
+        joints = density_stack(_ginibre_states(np.concatenate(draws), dim, dim, real=False))
+        transfers = np.stack([_stacked_transfer(ch) for ch in chs])
+        receivers = density_stack(_censor_joint(transfers, joints, 2, chs[0].system_dims))
+        result.record_samples(bounds, np.column_stack(judge(chs, joints, receivers)))
 
     rng = make_rng(result.seed)
-    chunk, size = [], 0
+    chunk, size, width = [], 0, 0
     for _ in range(result.samples):
         ch = build_conditional_channel(theory, kind, describe(rng))
         dim = (ch.message_dim * int(np.prod(ch.system_dims))) ** 2
         # the budget counts each joint's bytes; its uniforms, held until the
         # chunk is censored, take as many again, and its temporaries a few times that
         nbytes = 16 * dim * dim
-        # a chunk is censored before the next joint is drawn, and uses no draws
-        if chunk and size + nbytes > CHUNK_BYTES:
-            censor(chunk)
+        # a chunk is censored before the next joint is drawn, and uses no draws;
+        # a change of width closes it too
+        if chunk and (dim != width or size + nbytes > CHUNK_BYTES):
+            censor(width, chunk)
             chunk, size = [], 0
-        chunk.append((dim, ch, _ginibre_draw(dim, dim, rng, 1, real=False)))
-        size += nbytes
+        chunk.append((ch, _ginibre_draw(dim, dim, rng, 1, real=False)))
+        size, width = size + nbytes, dim
     if chunk:
-        censor(chunk)
+        censor(width, chunk)
 
 
 def suite_affine_unbreakable(samples: int = 200, seed: int = 7) -> SuiteResult:

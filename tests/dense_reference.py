@@ -416,7 +416,7 @@ def stepwise_discord(
     return max(float(s_measured - s_joint + best), 0.0)
 
 
-def dense_ppt_all_cuts(rho: DensityOperator, tol: float = qrt.TOL_PPT) -> qrt.ResourceVerdict:
+def dense_ppt_all_cuts(rho: DensityOperator) -> qrt.ResourceVerdict:
     """PPT across every nontrivial bipartition, one dense transpose per cut."""
     n = len(rho.dims)
     if n < 2:
@@ -427,7 +427,7 @@ def dense_ppt_all_cuts(rho: DensityOperator, tol: float = qrt.TOL_PPT) -> qrt.Re
         for side in combinations(range(n), r):
             if r == n / 2 and side[0] != 0:
                 continue  # complements give the same transpose spectrum
-            v = qrt.is_free_entanglement(rho, side, tol)
+            v = qrt.is_free_entanglement(rho, side)
             if not v.is_free:
                 return qrt.ResourceVerdict(False, v.witness_value, True)
             all_decisive = all_decisive and v.decisive

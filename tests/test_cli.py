@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -21,7 +22,7 @@ from qcensor.cli import EXIT_BREACH, EXIT_ERROR, EXIT_OK, EXIT_USAGE, build_pars
 from qcensor.demos import DEMOS
 from qcensor.serialize import matrix_to_json
 from qcensor.states import bell_phi_plus, from_pure, isotropic, maximally_mixed, random_real_density
-from qcensor.suites import SUITE_NAMES
+from qcensor.suites import SUITES
 
 PLUS = np.array([1.0, 1.0]) / np.sqrt(2)
 MINUS = np.array([1.0, -1.0]) / np.sqrt(2)
@@ -223,7 +224,7 @@ def test_demo_report_matches_golden(name, fmt, capsys):
 
 VERIFY_GOLDEN_CASES = [
     (suite, seed, samples)
-    for suite in sorted(SUITE_NAMES)
+    for suite in sorted(SUITES)
     for seed in (1, 7, 23)
     for samples in (7, 20)
 ]
@@ -362,6 +363,54 @@ def test_receiver_at_budget_runs(tmp_path, capsys):
     assert MAX_RECEIVER_DIM == 1024
     assert rho["dims"] == [2] * 10
     assert len(rho["re"]) == len(rho["im"]) == 1024
+
+
+def _wide_imaginarity(tmp_path, d):
+    sigma = random_real_density(d, d, 3)
+    scenario = _with(_honest_imaginarity_scenario(), senders__0__state=state_json(sigma))
+    return _write(tmp_path, scenario)
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_transfers_over_budget_exit_two_fast(tmp_path, capsys, d):
+    # one honest sender: two branch transfers of d^4 complex entries each,
+    # 0.54 GB at d = 64; the 128-wide register passes the receiver budget
+    path = _wide_imaginarity(tmp_path, d)
+    start = time.perf_counter()
+    code = main(["run", "--scenario", str(path)])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE and elapsed < 1.0
+    assert err.startswith("invalid scenario: ") and err.count("\n") == 1
+    assert f"{16 * 2 * d**4} bytes" in err
+    tracemalloc.start()
+    try:
+        assert main(["run", "--scenario", str(path)]) == EXIT_USAGE
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_transfers_under_budget_run(tmp_path, capsys):
+    assert main(["run", "--scenario", str(_wide_imaginarity(tmp_path, 16))]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["receiver_state"]["dims"] == [16]
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_transfer_budget_sits_on_sixteen_m_d_to_the_fourth(tmp_path, capsys, monkeypatch, m):
+    # m - 1 distinct honest real 4-wide senders, so m branches, each 16 * 4^4 bytes
+    senders = [
+        {"kind": "honest", "state": state_json(random_real_density(4, 4, seed))}
+        for seed in range(m - 1)
+    ]
+    path = _write(tmp_path, _with(_honest_imaginarity_scenario(), senders=senders))
+    monkeypatch.setattr("qcensor.censorship.MAX_TRANSFER_BYTES", 16 * m * 4**4)
+    assert main(["run", "--scenario", str(path)]) == EXIT_OK
+    capsys.readouterr()
+    monkeypatch.setattr("qcensor.censorship.MAX_TRANSFER_BYTES", 16 * m * 4**4 - 1)
+    assert main(["run", "--scenario", str(path)]) == EXIT_USAGE
+    assert "the limit is" in capsys.readouterr().err
 
 
 def _with(scenario, **changes):

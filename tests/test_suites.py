@@ -13,11 +13,11 @@ from dense_reference import per_sample_affine_unbreakable, per_sample_convex_unb
 from qcensor import suites
 from qcensor.censorship import encode_description
 from qcensor.states import bell_phi_plus
-from qcensor.suites import SUITE_NAMES, SuiteResult, run_suite
+from qcensor.suites import SUITES, SuiteResult, run_suite
 
 
 def test_suite_registry_names():
-    assert set(SUITE_NAMES) == {
+    assert set(SUITES) == {
         "affine_unbreakable",
         "convex_unbreakable",
         "discord_breach",
@@ -177,8 +177,9 @@ def test_unbreakable_suites_match_the_per_sample_oracle(suite, examples):
 
 @pytest.mark.parametrize("suite", ["affine_unbreakable", "convex_unbreakable"])
 def test_a_forced_collision_and_failures_inside_one_chunk(suite):
-    """Sample 3 registers one label (m = 2, a narrower joint among wider
-    ones) inside a chunk of several joints, and samples 2 and 5 leak."""
+    """Sample 3 registers one label (m = 2): its narrower joint, among wider
+    ones that would share one chunk, is a chunk of its own, and samples 2
+    and 5 leak inside the wider chunks around it."""
     forged = _forgeries(suite, {3}, {2, 5})
     got, want = _run_both(suite, 8, 5, 2**21, forged)
     assert not got.passed and len(got.failures) == 2
