@@ -135,7 +135,12 @@ def build_conditional_channel(
     if kind == "replacement":
         branches = [replacement_channel(d.state) for d in registered.values()]
     else:
-        branches = [dephasing_channel(d.basis, d.state.dims) for d in registered.values()]
+        # descriptions that share a basis object share its branch
+        built: dict[int, GeneralLinearMap] = {}
+        branches = [
+            _memo(built, id(d.basis), lambda: dephasing_channel(d.basis, d.state.dims))
+            for d in registered.values()
+        ]
     return ConditionalRDChannel(
         theory=theory,
         kind=kind,

@@ -113,33 +113,45 @@ def partial_transpose(
 
 
 def _canonicalize_column(vecs: np.ndarray) -> np.ndarray:
-    """Phase-fix each column of a matrix, or a single vector, at once.
+    """Phase-fix each column of a matrix or of each matrix of a stack
+    (..., n, k), or a single vector, at once.
 
     The first entry within _TIE_TOL of a column's largest magnitude becomes
     real positive, so float noise cannot move the pivot between near-ties.
     Columns must be nonzero.
     """
     mags = np.abs(vecs)
-    pivot = (mags >= mags.max(0) - _TIE_TOL).argmax(0)
-    at = (pivot, np.arange(vecs.shape[1])) if vecs.ndim == 2 else pivot
-    return vecs * (vecs[at].conjugate() / mags[at])
+    if vecs.ndim == 1:
+        pivot = (mags >= mags.max() - _TIE_TOL).argmax()
+        return vecs * (vecs[pivot].conjugate() / mags[pivot])
+    pivot = (mags >= mags.max(-2, keepdims=True) - _TIE_TOL).argmax(-2)
+    # each column's pivot row, with its column and, in a stack, its matrix
+    grid = np.indices(pivot.shape, sparse=True) if vecs.ndim > 2 else (np.arange(len(pivot)),)
+    at = (*grid[:-1], pivot, grid[-1])
+    return vecs * (vecs[at].conjugate() / mags[at])[..., None, :]
 
 
 def hermitian_eig(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix with a deterministic basis.
+    """Eigendecomposition of a Hermitian matrix, or of each matrix of a stack
+    (..., d, d), with a deterministic basis.
 
     Returns eigenvalues sorted descending and orthonormal eigenvector columns,
     each phase-fixed by ``_canonicalize_column``. Inside a degenerate group
     the columns keep ``eigh``'s order, so repeated calls on equal inputs give
-    identical output.
+    identical output, and a stack gives each matrix's output bit for bit.
     """
-    arr = _square(mat)
-    defect = _defect(arr)
+    arr = _square(mat, stacked=True)
+    adj = arr.conj().swapaxes(-1, -2)
+    defect = float(np.abs(arr - adj).max())
     if defect > TOL_HERM:
         raise ValueError(f"matrix is not Hermitian within {TOL_HERM} (defect {defect:.3e})")
-    w, v = np.linalg.eigh((arr + arr.conj().T) / 2)
+    w, v = np.linalg.eigh((arr + adj) / 2)
     order = np.argsort(-w, kind="stable")
-    return w[order], _canonicalize_column(v[:, order])
+    if w.ndim == 1:
+        return w[order], _canonicalize_column(v[:, order])
+    # each matrix of the stack in its own order, laid out as v[:, order] is
+    at = (*(i[..., None] for i in np.indices(order.shape[:-1], sparse=True)), order)
+    return w[at], _canonicalize_column(v.swapaxes(-1, -2)[at].swapaxes(-1, -2))
 
 
 def min_eigenvalue(mat: np.ndarray) -> float:

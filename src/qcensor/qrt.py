@@ -385,18 +385,27 @@ def _prime_roots(n: int) -> np.ndarray:
 
 
 def canonical_eigenbasis(mat: np.ndarray) -> np.ndarray:
-    """``linalg.hermitian_eig``'s eigenvectors with each degenerate eigenspace
-    (eigenvalues within TOL_DIAG) in the phase-fixed eigenbasis of
-    diag(sqrt 2, sqrt 3, sqrt 5, ...) compressed onto it. An imaginarity label
-    is computed from it, and the description keeps it for its branch."""
+    """``linalg.hermitian_eig``'s eigenvectors, of a matrix or of each matrix
+    of a stack (..., d, d), with each degenerate eigenspace (eigenvalues
+    within TOL_DIAG) in the phase-fixed eigenbasis of diag(sqrt 2, sqrt 3,
+    sqrt 5, ...) compressed onto it. An imaginarity label is computed from
+    it, and the description keeps it for its branch."""
     w, vecs = linalg.hermitian_eig(mat)
-    bounds = [0, *(np.flatnonzero(np.diff(w) < -TOL_DIAG) + 1).tolist(), w.size]
-    for start, stop in zip(bounds, bounds[1:]):
-        if stop - start > 1:
-            block = vecs[:, start:stop]
-            probe = block.conj().T @ (_prime_roots(w.size)[:, None] * block)
-            vecs[:, start:stop] = linalg._canonicalize_column(block @ np.linalg.eigh(probe)[1])
-    return vecs
+    d = w.shape[-1]
+    split = np.diff(w) < -TOL_DIAG
+    if split.all():
+        return vecs
+    # the matrices with a degenerate eigenspace, one at a time
+    bases = vecs.reshape(-1, d, d)
+    for k, gaps in enumerate(split.reshape(-1, d - 1).tolist()):
+        bounds = [0, *(i + 1 for i, gap in enumerate(gaps) if gap), d]
+        for start, stop in zip(bounds, bounds[1:]):
+            if stop - start > 1:
+                block = bases[k, :, start:stop]
+                probe = block.conj().T @ (_prime_roots(d)[:, None] * block)
+                rotated = block @ np.linalg.eigh(probe)[1]
+                bases[k, :, start:stop] = linalg._canonicalize_column(rotated)
+    return bases.reshape(vecs.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -448,22 +457,39 @@ def _encode_coherence(sigma: DensityOperator | None, ensemble: Sequence | None) 
 
 
 def _encode_imaginarity(sigma: DensityOperator | None, ensemble: Sequence | None) -> Description:
-    verdict = is_free_imaginarity(_require_state("imaginarity", sigma))
-    if not verdict.is_free:
-        raise ValueError(f"state is not real (max imaginary entry {verdict.witness_value:.3e})")
-    # the validated state is its own real part when every imaginary entry is +0.0
-    if sigma.mat.imag.any() or np.signbit(sigma.mat.imag).any():
-        sigma = DensityOperator(sigma.mat.real.astype(complex), sigma.dims)
-    vecs = canonical_eigenbasis(sigma.mat)
+    return _encode_imaginarities([_require_state("imaginarity", sigma)])[0]
+
+
+def _encode_imaginarities(states: Sequence[DensityOperator]) -> list[Description]:
+    """The imaginarity descriptions of states on one register signature, their
+    eigenbases found as one stack; each is what the state alone gives, bit
+    for bit. The first state that is not real raises."""
+    mats = np.array([sigma.mat for sigma in states])
+    for witness in _max_imaginary(mats).tolist():
+        if not witness <= TOL_DIAG:
+            raise ValueError(f"state is not real (max imaginary entry {witness:.3e})")
+    # a validated state is its own real part when every imaginary entry is +0.0
+    if mats.imag.any() or np.signbit(mats.imag).any():
+        signed = (mats.imag != 0) | np.signbit(mats.imag)
+        states = [
+            DensityOperator(sigma.mat.real.astype(complex), sigma.dims) if flags.any() else sigma
+            for sigma, flags in zip(states, signed)
+        ]
+        mats = mats.real.astype(complex)
+    # one state takes the single-matrix path, whose fixed cost is lower
+    vecs = canonical_eigenbasis(mats if len(mats) > 1 else mats[0]).reshape(mats.shape)
     if float(np.abs(vecs.imag).max()) > 1e-8:
         raise ValueError("eigenbasis of a real state failed to canonicalize to real vectors")
     vecs.setflags(write=False)
+    descriptions = []
     # Order columns by the quantized vectors themselves, not by eigenvalue,
     # so that commuting states (same eigenvectors, any spectra) share a label
     # and sub-label noise cannot reorder columns the label cannot tell apart.
-    payload = tuple(sorted(_quantize(vecs.real.T)))
-    label = f"imaginarity|eigenbasis|{_render(payload, ';,')}".encode()
-    return Description("imaginarity", payload, label, sigma, vecs)
+    for sigma, basis, columns in zip(states, vecs, _quantize(vecs.real.swapaxes(1, 2))):
+        payload = tuple(sorted(columns))
+        label = f"imaginarity|eigenbasis|{_render(payload, ';,')}".encode()
+        descriptions.append(Description("imaginarity", payload, label, sigma, basis))
+    return descriptions
 
 
 def _normalize_ensemble(

@@ -33,7 +33,6 @@ from .censorship import (
 from .demos import discord_breach_demo, nonlocal_activation_demo
 from .qrt import Description
 from .states import (
-    _ginibre,
     _ginibre_draw,
     _ginibre_states,
     density_stack,
@@ -95,46 +94,65 @@ def _censored_samples(
     result: SuiteResult,
     theory: str,
     kind: str,
-    describe: Callable[[np.random.Generator], list[Description]],
+    shape: tuple[int, int],
+    draw: Callable[[np.random.Generator], list],
+    encode: Callable[[list], list[Description]],
     judge: Callable[[list[ConditionalRDChannel], np.ndarray, np.ndarray], tuple],
     bounds: dict[str, float],
 ) -> None:
     """Censor one random two-sender joint per sample and record its defects.
 
-    Per sample, only what fixes where the next draw starts runs in sampling
-    order: ``describe`` draws and encodes the two claims, their conditional
-    channel is built, and the uniforms of a Ginibre joint over two
-    message+system pairs, as wide as that channel needs, are drawn. The
-    joints of one chunk, which all have one width, are then built, checked
-    and censored as one stack; ``judge`` turns the channels, joints and
-    receivers into one defect array per bound, and the samples record their
-    defects in sampling order, as each would alone.
+    ``shape`` is (claims per sample, register width). Per sample of a chunk,
+    ``draw`` takes the claims' raw material, and the uniforms of a Ginibre
+    joint over two message+system pairs follow at the widest width (every
+    label distinct, m = claims + 1). ``encode`` turns the chunk's claims
+    into descriptions at once, and the channels are built in sampling
+    order. At the first sample whose labels collide, its joint is drawn
+    again at its own width from the generator state where it started, and
+    the next chunk starts after it, so every draw lands where one sample at
+    a time puts it. The joints of one width are censored as one stack;
+    ``judge`` turns the channels, joints and receivers into one defect array
+    per bound, recorded in sampling order.
     """
 
-    def censor(dim: int, chunk: list[tuple[ConditionalRDChannel, np.ndarray]]) -> None:
-        chs, draws = zip(*chunk)
+    def width(m: int) -> int:
+        return (m * register) ** 2
+
+    def censor(chs: list[ConditionalRDChannel], draws: list[np.ndarray]) -> None:
+        dim = width(chs[0].message_dim)
         joints = density_stack(_ginibre_states(np.concatenate(draws), dim, dim, real=False))
         transfers = np.stack([_stacked_transfer(ch) for ch in chs])
         receivers = density_stack(_censor_joint(transfers, joints, 2, chs[0].system_dims))
         result.record_samples(bounds, np.column_stack(judge(chs, joints, receivers)))
 
+    claims, register = shape
+    widest = claims + 1
+    # the budget counts each joint's bytes; its uniforms, held until the
+    # chunk is censored, take as many again, and its temporaries a few times that
+    rows = max(CHUNK_BYTES // (16 * width(widest) ** 2), 1)
     rng = make_rng(result.seed)
-    chunk, size, width = [], 0, 0
-    for _ in range(result.samples):
-        ch = build_conditional_channel(theory, kind, describe(rng))
-        dim = (ch.message_dim * int(np.prod(ch.system_dims))) ** 2
-        # the budget counts each joint's bytes; its uniforms, held until the
-        # chunk is censored, take as many again, and its temporaries a few times that
-        nbytes = 16 * dim * dim
-        # a chunk is censored before the next joint is drawn, and uses no draws;
-        # a change of width closes it too
-        if chunk and (dim != width or size + nbytes > CHUNK_BYTES):
-            censor(width, chunk)
-            chunk, size = [], 0
-        chunk.append((ch, _ginibre_draw(dim, dim, rng, 1, real=False)))
-        size, width = size + nbytes, dim
-    if chunk:
-        censor(width, chunk)
+    left = result.samples
+    while left:
+        drawn, starts, draws = [], [], []
+        for _ in range(min(rows, left)):
+            drawn += draw(rng)
+            starts.append(rng.bit_generator.state)
+            draws.append(_ginibre_draw(width(widest), width(widest), rng, 1, real=False))
+        descs = encode(drawn)
+        chs = []
+        for k, start in enumerate(starts):
+            sample = descs[k * claims : (k + 1) * claims]
+            chs.append(build_conditional_channel(theory, kind, sample))
+            if chs[-1].message_dim < widest:  # its labels collide
+                rng.bit_generator.state = start
+                dim = width(chs[-1].message_dim)
+                draws[k] = _ginibre_draw(dim, dim, rng, 1, real=False)
+                break
+        wide = len(chs) - (chs[-1].message_dim < widest)
+        for group in (slice(0, wide), slice(wide, len(chs))):
+            if chs[group]:
+                censor(chs[group], draws[group])
+        left -= len(chs)
 
 
 def suite_affine_unbreakable(samples: int = 200, seed: int = 7) -> SuiteResult:
@@ -142,16 +160,19 @@ def suite_affine_unbreakable(samples: int = 200, seed: int = 7) -> SuiteResult:
     built from random real states; every receiver state must stay real."""
     result = SuiteResult("affine_unbreakable", True, samples, seed)
 
-    def describe(rng: np.random.Generator) -> list[Description]:
-        # the two claims are two successive real draws, drawn at once
-        claims = [DensityOperator(m, (2,)) for m in _ginibre(2, 2, rng, 2, real=True)]
-        return [encode_description("imaginarity", c) for c in claims]
+    def draw(rng: np.random.Generator) -> list[np.ndarray]:
+        # the uniforms of two successive real 2x2 claims, drawn at once
+        return list(_ginibre_draw(2, 2, rng, 2, real=True))
+
+    def encode(draws: list[np.ndarray]) -> list[Description]:
+        mats = _ginibre_states(np.stack(draws), 2, 2, real=True)
+        return qrt._encode_imaginarities([DensityOperator(m, (2,)) for m in mats])
 
     def judge(chs, joints, receivers) -> tuple:
         return np.abs(receivers.imag).max(axis=(1, 2)), _trace_defects(receivers)
 
     bounds = {"receiver_max_imag": 1e-9, "trace_defect": 1e-10}
-    _censored_samples(result, "imaginarity", "eigen_dephasing", describe, judge, bounds)
+    _censored_samples(result, "imaginarity", "eigen_dephasing", (2, 2), draw, encode, judge, bounds)
     return result
 
 
@@ -166,8 +187,10 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
     result = SuiteResult("convex_unbreakable", True, samples, seed)
     mixed = maximally_mixed((2, 2)).mat
 
-    def describe(rng: np.random.Generator) -> list[Description]:
-        ensembles = [random_separable_ensemble(rng) for _ in range(2)]
+    def draw(rng: np.random.Generator) -> list:
+        return [random_separable_ensemble(rng) for _ in range(2)]
+
+    def encode(ensembles: list) -> list[Description]:
         return [encode_description("entanglement", ensemble=e) for e in ensembles]
 
     def judge(chs, joints, receivers) -> tuple:
@@ -188,7 +211,7 @@ def suite_convex_unbreakable(samples: int = 200, seed: int = 11) -> SuiteResult:
         return reconstruction, qrt._ppt_excess(receivers, (2, 2, 2, 2))
 
     bounds = {"mixture_reconstruction": 1e-9, "ppt_negativity": 1e-9}
-    _censored_samples(result, "entanglement", "replacement", describe, judge, bounds)
+    _censored_samples(result, "entanglement", "replacement", (2, 4), draw, encode, judge, bounds)
     return result
 
 

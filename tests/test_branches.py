@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from dense_reference import kraus_dephasing, kraus_noise, kraus_replacement
 from qcensor import qrt
-from qcensor.censorship import build_conditional_channel, encode_description
+from qcensor.censorship import _stacked_transfer, build_conditional_channel, encode_description
 from qcensor.channels import (
     TOL_TP,
     ChannelSpec,
@@ -318,6 +318,23 @@ def test_imaginarity_branches_reuse_the_description_basis(monkeypatch):
     ch = build_conditional_channel("imaginarity", "eigen_dephasing", descs)
     assert ch.message_dim == 4
     assert calls == {"eigenbasis": 0, "kraus": 0}
+
+
+def test_descriptions_that_share_a_basis_share_its_branch():
+    # three coherence labels on (2, 2) hold the one cached incoherent basis
+    rng = make_rng(4)
+    descs = [encode_description("coherence", _diagonal_state((2, 2), rng)) for _ in range(3)]
+    assert len({d.label for d in descs}) == 3 and descs[0].basis is descs[2].basis
+    ch = build_conditional_channel("coherence", "eigen_dephasing", descs)
+    assert ch.message_dim == 4
+    assert ch.branches[0] is ch.branches[1] is ch.branches[2]
+    per_label = [dephasing_channel(d.basis, d.state.dims) for d in descs] + [ch.branches[-1]]
+    assert _bits(_stacked_transfer(ch), np.hstack([b.transfer for b in per_label]))
+    # imaginarity bases, views of one stack included, stay one per description
+    states = [random_real_density(4, 4, rng, dims=(2, 2)) for _ in range(3)]
+    descs = qrt._encode_imaginarities(states)
+    ch = build_conditional_channel("imaginarity", "eigen_dephasing", descs)
+    assert len({id(b) for b in ch.branches}) == 4
 
 
 def test_imaginarity_description_keeps_a_real_state_as_given():

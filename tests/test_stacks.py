@@ -136,6 +136,17 @@ def test_a_stack_with_one_bad_matrix_is_rejected_like_density_operator(kind, d, 
     assert str(stacked.value) == str(single.value)
 
 
+def test_a_stacks_trace_deviation_is_its_worst_row_in_the_middle():
+    stack = np.array([np.eye(3, dtype=complex) / 3] * 5)
+    for row, scale in ((1, 1 - 4e-10), (2, 1 + 3e-9), (3, 1 + 2e-9)):
+        stack[row] *= scale
+    deviations = [reference_validate(m)[2] for m in stack]
+    assert int(np.argmax(deviations)) == 2
+    assert _bits(validate(stack).trace_deviation) == _bits(max(deviations))
+    with pytest.raises(ValueError, match=f"trace deviation {max(deviations):.3e}"):
+        density_stack(stack)
+
+
 def test_density_stack_is_a_read_only_copy():
     stack = np.array([np.eye(2, dtype=complex) / 2] * 3)
     checked = density_stack(stack)
@@ -272,3 +283,49 @@ def test_stacked_censor_is_each_joint_censored_alone(case):
     assert _bits(got) == _bits(want)
     # the one-joint entry is the stack of one
     assert _bits(_censor_joint(transfers[:1], joints[:1], n_pairs, sys)) == _bits(want[:1])
+
+
+# ------------------------------------------------------------- eigenbases
+
+
+def _description_bits(desc) -> tuple:
+    return desc.label, desc.payload, _bits(desc.basis), _bits(desc.state.mat), desc.state.dims
+
+
+@st.composite
+def real_state_stacks(draw):
+    """Stacks of real states on one register, each with a spectrum that may
+    repeat eigenvalues (I/d among them), and imaginary parts that may be -0.0."""
+    rng = np.random.default_rng(draw(SEEDS))
+    d = draw(st.sampled_from((2, 3, 4)))
+    mats = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(("distinct", "repeated", "flat")))
+        w = rng.random(d) + 0.1
+        if kind == "repeated":  # one eigenvalue repeated on a random set of columns
+            w[rng.random(d) < 0.6] = w[0]
+        if kind == "flat":
+            mat = np.eye(d, dtype=complex) / d
+        else:
+            q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+            mat = ((q * (w / w.sum())) @ q.T).astype(complex)
+        if draw(st.booleans()):
+            mat.imag[rng.random((d, d)) < 0.5] = -0.0
+        mats.append(DensityOperator(mat, (d,)))
+    return mats
+
+
+@given(real_state_stacks())
+@settings(max_examples=150, deadline=None)
+def test_stacked_eigenbases_and_descriptions_are_each_matrix_alone(states):
+    # hermitian_eig, canonical_eigenbasis and the imaginarity encoder read a
+    # stack as they read each of its matrices, bit for bit
+    mats = np.array([s.mat for s in states])
+    w, v = linalg.hermitian_eig(mats)
+    alone = [linalg.hermitian_eig(m) for m in mats]
+    assert _bits(w) == _bits([a[0] for a in alone])
+    assert _bits(v) == _bits([a[1] for a in alone])
+    bases = qrt.canonical_eigenbasis(mats)
+    assert _bits(bases) == _bits([qrt.canonical_eigenbasis(m) for m in mats])
+    got = [_description_bits(d) for d in qrt._encode_imaginarities(states)]
+    assert got == [_description_bits(qrt._encode_imaginarity(s, None)) for s in states]

@@ -12,7 +12,7 @@ import dense_reference
 from dense_reference import per_sample_affine_unbreakable, per_sample_convex_unbreakable
 from qcensor import suites
 from qcensor.censorship import encode_description
-from qcensor.states import bell_phi_plus
+from qcensor.states import bell_phi_plus, make_rng
 from qcensor.suites import SUITES, SuiteResult, run_suite
 
 
@@ -127,13 +127,40 @@ LEAKY_STATE = bell_phi_plus(2)
 
 
 def _forging(encode, forged: dict):
-    """``encode_description`` whose n-th call (from 1) returns
-    ``forged[n](descriptions made so far)`` where n is a key of ``forged``."""
-    made = []
+    """``encode`` as the per-sample oracle calls it, once per claim in
+    sampling order, with the description at each (sample, claim) position
+    of ``forged`` (both from 1) replaced by ``forged[position](made)``, where
+    ``made`` maps positions to the descriptions made so far; and the map
+    from each made description's state bytes to its position."""
+    made, positions = {}, {}
 
     def wrapper(*args, **kwargs):
-        made.append(encode(*args, **kwargs))
-        return forged[len(made)](made) if len(made) in forged else made[-1]
+        n = len(made)
+        at = (n // 2 + 1, n % 2 + 1)
+        made[at] = encode(*args, **kwargs)
+        positions[made[at].state.mat.tobytes()] = at
+        return forged[at](made) if at in forged else made[at]
+
+    return wrapper, positions
+
+
+def _forging_chunks(forged: dict, positions: dict):
+    """``suites._censored_samples`` whose chunk encoder forges as ``_forging``
+    does, finding each description's position from its state's bytes; a
+    claim the per-sample oracle never drew (one drawn past a collision, and
+    dropped) has no position and is left as it is."""
+    censored = suites._censored_samples
+
+    def wrapper(result, theory, kind, shape, draw, encode, judge, bounds):
+        def forging(claims):
+            made, out = {}, []
+            for desc in encode(claims):
+                at = positions.get(desc.state.mat.tobytes())
+                made[at] = desc
+                out.append(forged[at](made) if at in forged else desc)
+            return out
+
+        return censored(result, theory, kind, shape, draw, forging, judge, bounds)
 
     return wrapper
 
@@ -143,18 +170,47 @@ def _forgeries(suite: str, collide, leak) -> dict:
     claim repeating its first, and a leaking first claim at each sample of
     ``leak``."""
     field, value = ("basis", LEAKY_BASIS) if suite == "affine_unbreakable" else ("state", LEAKY_STATE)
-    forged = {2 * k - 1: lambda made: dataclasses.replace(made[-1], **{field: value}) for k in leak}
-    forged.update({2 * k: lambda made: made[-2] for k in collide})
+    forged = {
+        (k, 1): lambda made, k=k: dataclasses.replace(made[k, 1], **{field: value}) for k in leak
+    }
+    forged.update({(k, 2): lambda made, k=k: made[k, 1] for k in collide})
     return forged
 
 
-def _run_both(suite: str, samples: int, seed: int, budget: int, forged: dict):
+def _generators(module, mp) -> list:
+    """The generators ``module`` makes with ``make_rng`` from now on."""
+    made = []
+
+    def make(seed):
+        made.append(make_rng(seed))
+        return made[-1]
+
+    mp.setattr(module, "make_rng", make)
+    return made
+
+
+def _run_both(suite: str, samples: int, seed: int, budget: int, forged: dict, stacks=None):
+    """The suite and its per-sample oracle under the same forgeries; each
+    generator must end where the other does. ``stacks``, if given, collects
+    the (count, width) of each censored stack of joints."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(suites, "CHUNK_BYTES", budget)
-        mp.setattr(suites, "encode_description", _forging(encode_description, forged))
-        got = run_suite(suite, samples, seed)
-        mp.setattr(dense_reference, "encode_description", _forging(encode_description, forged))
+        encode, positions = _forging(encode_description, forged)
+        mp.setattr(dense_reference, "encode_description", encode)
+        oracle = _generators(dense_reference, mp)
         want = PER_SAMPLE_ORACLES[suite](samples, seed)
+        mp.setattr(suites, "CHUNK_BYTES", budget)
+        mp.setattr(suites, "_censored_samples", _forging_chunks(forged, positions))
+        drawn = _generators(suites, mp)
+        if stacks is not None:
+            censor = suites._censor_joint
+
+            def spy(transfers, mats, *args):
+                stacks.append(mats.shape[:2])
+                return censor(transfers, mats, *args)
+
+            mp.setattr(suites, "_censor_joint", spy)
+        got = run_suite(suite, samples, seed)
+    assert drawn[0].bit_generator.state == oracle[0].bit_generator.state
     return got, want
 
 
@@ -178,12 +234,28 @@ def test_unbreakable_suites_match_the_per_sample_oracle(suite, examples):
 @pytest.mark.parametrize("suite", ["affine_unbreakable", "convex_unbreakable"])
 def test_a_forced_collision_and_failures_inside_one_chunk(suite):
     """Sample 3 registers one label (m = 2): its narrower joint, among wider
-    ones that would share one chunk, is a chunk of its own, and samples 2
-    and 5 leak inside the wider chunks around it."""
+    ones that would share one chunk, is censored as a stack of its own, and
+    samples 2 and 5 leak inside the wider stacks around it."""
     forged = _forgeries(suite, {3}, {2, 5})
     got, want = _run_both(suite, 8, 5, 2**21, forged)
     assert not got.passed and len(got.failures) == 2
     assert _fields(got) == _fields(want)
+
+
+@pytest.mark.parametrize("suite,register", [("affine_unbreakable", 2), ("convex_unbreakable", 4)])
+def test_collisions_at_the_ends_of_a_chunk_and_in_a_row(suite, register):
+    """With four widest joints to a chunk, sample 1 collides at the first
+    sample of a chunk, 5 at the last of the next one, and 6 and 7 in a row:
+    each collision ends its chunk, whose later samples are drawn again."""
+    wide, narrow = (3 * register) ** 2, (2 * register) ** 2
+    stacks = []
+    forged = _forgeries(suite, {1, 5, 6, 7}, {3})
+    got, want = _run_both(suite, 12, 9, 4 * 16 * wide**2, forged, stacks)
+    assert not got.passed
+    assert _fields(got) == _fields(want)
+    assert stacks == [
+        (1, narrow), (3, wide), (1, narrow), (1, narrow), (1, narrow), (4, wide), (1, wide)
+    ]
 
 
 @given(
